@@ -43,7 +43,7 @@ class ProjectionFailure(SteklovMaxError):
 
 
 class NoAscent(SteklovMaxError):
-    """No feasible improving step exists at the minimum step size."""
+    """The ascent's starting point is rejected: nothing to ascend from."""
 
 
 class ConfigError(SteklovMaxError):

@@ -15,7 +15,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailure, ZeroBoundaryTrace
-from .meshing import TriangleMesh
+from .meshing import TriangleMesh, edge_keys
 
 # quadrature on the reference triangle: edge midpoints, exact to degree 2
 _QP = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
@@ -67,51 +67,36 @@ def build_space(mesh: TriangleMesh, order: int = 2) -> FEMSpace:
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     tris = mesh.triangles
-    nv = len(mesh.vertices)
-    if order == 1:
-        cell_dofs = tris.copy()
-        dof_coords = mesh.vertices.copy()
-        ndof = nv
-        edge_index = None
-    else:
-        edges = {}
-        cell_dofs = np.zeros((len(tris), 6), dtype=int)
-        cell_dofs[:, :3] = tris
-        pairs = [(1, 2), (2, 0), (0, 1)]
-        for t, tri in enumerate(tris):
-            for k, (i, j) in enumerate(pairs):
-                key = (min(tri[i], tri[j]), max(tri[i], tri[j]))
-                if key not in edges:
-                    edges[key] = nv + len(edges)
-                cell_dofs[t, 3 + k] = edges[key]
-        ndof = nv + len(edges)
-        dof_coords = np.zeros((ndof, 2))
-        dof_coords[:nv] = mesh.vertices
-        for (a, b), d in edges.items():
-            dof_coords[d] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        edge_index = edges
-
+    v = mesh.vertices
+    nv = len(v)
     loop = mesh.boundary_loop
     arcs = mesh.boundary_arclengths()
     if order == 1:
-        boundary_dofs = loop.copy()
-        boundary_arc = arcs.copy()
-    else:
-        bd = []
-        ba = []
-        n = len(loop)
-        pts = mesh.vertices[loop]
-        seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-        for i in range(n):
-            a, b = loop[i], loop[(i + 1) % n]
-            bd.append(a)
-            ba.append(arcs[i])
-            mid = edge_index[(min(a, b), max(a, b))]
-            bd.append(mid)
-            ba.append(arcs[i] + 0.5 * seg[i])
-        boundary_dofs = np.asarray(bd)
-        boundary_arc = np.asarray(ba)
-    return FEMSpace(mesh=mesh, order=order, dof_count=ndof,
+        return FEMSpace(mesh=mesh, order=1, dof_count=nv,
+                        cell_dofs=tris.copy(), dof_coords=v.copy(),
+                        boundary_dofs=loop.copy(), boundary_arc=arcs.copy())
+    # edge dofs numbered nv, nv+1, ... in order of first appearance over
+    # the triangles' local edges (1,2), (2,0), (0,1)
+    ends = (tris[:, [1, 2, 0]], tris[:, [2, 0, 1]])
+    keys, first, inverse = np.unique(edge_keys(*ends, nv), return_index=True,
+                                     return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(keys), dtype=int)
+    rank[by_first] = np.arange(len(keys))
+    ndof = nv + len(keys)
+    cell_dofs = np.zeros((len(tris), 6), dtype=int)
+    cell_dofs[:, :3] = tris
+    cell_dofs[:, 3:] = nv + rank[inverse].reshape(-1, 3)
+    dof_coords = np.zeros((ndof, 2))
+    dof_coords[:nv] = v
+    dof_coords[nv:] = 0.5 * (v[keys[by_first] // nv] + v[keys[by_first] % nv])
+
+    pts = v[loop]
+    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    mid = nv + rank[np.searchsorted(keys, edge_keys(loop, np.roll(loop, -1), nv))]
+    boundary_dofs = np.column_stack((loop, mid)).ravel()
+    boundary_arc = np.column_stack((arcs, arcs + 0.5 * seg)).ravel()
+    return FEMSpace(mesh=mesh, order=2, dof_count=ndof,
                     cell_dofs=cell_dofs, dof_coords=dof_coords,
                     boundary_dofs=boundary_dofs, boundary_arc=boundary_arc)
 

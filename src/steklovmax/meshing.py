@@ -82,35 +82,69 @@ def check_simple(b: BoundaryPolyline):
 
 
 def points_in_polygon(points, poly):
-    """Crossing-number inside test, vectorized over points."""
+    """Crossing-number inside test.
+
+    Edge (v, w) can cross the rightward ray from a point only if the
+    point's y lies in the half-open range [min(vy, wy), max(vy, wy)).  The
+    points in each edge's range are found by binary search among the
+    y-sorted points, so the work is O(points x crossings), not
+    O(points x edges).
+    """
     pts = np.atleast_2d(points)
     x, y = pts[:, 0], pts[:, 1]
     vx, vy = poly[:, 0], poly[:, 1]
     wx, wy = np.roll(vx, -1), np.roll(vy, -1)
-    inside = np.zeros(len(pts), dtype=bool)
-    for k in range(len(poly)):
-        cond = (vy[k] > y) != (wy[k] > y)
-        if not cond.any():
-            continue
-        xc = vx[k] + (y - vy[k]) / (wy[k] - vy[k]) * (wx[k] - vx[k])
-        inside ^= cond & (x < xc)
-    return inside
+    order = np.argsort(y)
+    ys = y[order]
+    start = np.searchsorted(ys, np.minimum(vy, wy))
+    count = np.searchsorted(ys, np.maximum(vy, wy)) - start
+    k = np.repeat(np.arange(len(poly)), count)
+    i = order[_ranges(start, count)]
+    xc = vx[k] + (y[i] - vy[k]) / (wy[k] - vy[k]) * (wx[k] - vx[k])
+    return np.bincount(i[x[i] < xc], minlength=len(pts)) % 2 == 1
 
 
-def distance_to_polyline(points, poly):
-    """Min distance from each point to the closed polyline, vectorized."""
+def clear_of_polyline(points, poly, r):
+    """True where a point is at least r from the closed polyline.
+
+    Every edge is sampled at spacing s <= r into a cKDTree.  A point at
+    distance < r from an edge lies within r + s/2 of one of that edge's
+    samples, so points with no sample that close pass outright; for the
+    rest the exact point-segment distance is taken to each edge owning a
+    sample within that reach (1e-9 relative margin against rounding).
+    """
     pts = np.atleast_2d(points)
     a = poly
-    b = np.roll(poly, -1, axis=0)
-    ab = b - a
+    ab = np.roll(poly, -1, axis=0) - a
     ab2 = np.maximum(np.sum(ab**2, axis=1), 1e-300)
-    best = np.full(len(pts), np.inf)
-    for k in range(len(a)):
-        ap = pts - a[k]
-        t = np.clip((ap @ ab[k]) / ab2[k], 0.0, 1.0)
-        proj = a[k] + t[:, None] * ab[k]
-        best = np.minimum(best, np.linalg.norm(pts - proj, axis=1))
-    return best
+    length = np.sqrt(ab2)
+    parts = np.ceil(length / r).astype(int)
+    # samples a + ab * j / parts for j = 0..parts on each edge
+    edge = np.repeat(np.arange(len(a)), parts + 1)
+    frac = _ranges(np.zeros_like(parts), parts + 1) / parts[edge]
+    samples = a[edge] + frac[:, None] * ab[edge]
+    reach = (r + 0.5 * np.max(length / parts)) * (1.0 + 1e-9)
+    pairs = cKDTree(pts).sparse_distance_matrix(
+        cKDTree(samples), reach, output_type="ndarray")
+    i, k = pairs["i"], edge[pairs["j"]]
+    ap = pts[i] - a[k]
+    t = np.clip((ap[:, 0] * ab[k, 0] + ap[:, 1] * ab[k, 1]) / ab2[k], 0.0, 1.0)
+    proj = a[k] + t[:, None] * ab[k]
+    ok = np.ones(len(pts), dtype=bool)
+    ok[i[np.linalg.norm(pts[i] - proj, axis=1) < r]] = False
+    return ok
+
+
+def _ranges(start, count):
+    """Concatenation of arange(s, s + c) over (s, c) in zip(start, count)."""
+    offset = np.cumsum(count) - count
+    return np.arange(count.sum()) + np.repeat(start - offset, count)
+
+
+def edge_keys(a, b, n):
+    """Key min*n + max of each undirected vertex pair (a, b)."""
+    lo = np.minimum(a, b).astype(np.int64)
+    return lo * n + np.maximum(a, b)
 
 
 @dataclass(frozen=True)
@@ -259,46 +293,35 @@ def _hex_seeds(poly, spacing, clearance):
     if not pts:
         return np.empty((0, 2))
     pts = np.vstack(pts)
-    inside = points_in_polygon(pts, poly)
-    pts = pts[inside]
-    if len(pts):
-        pts = pts[distance_to_polyline(pts, poly) >= clearance]
-    return pts
+    pts = pts[points_in_polygon(pts, poly)]
+    return pts[clear_of_polyline(pts, poly, clearance)]
 
 
-def _loop_from_triangles(tris, n_boundary):
-    """Ordered boundary loop of a triangulation whose boundary vertices are
-    the first n_boundary indices; None if the boundary is not one loop of
-    exactly those vertices."""
-    from collections import defaultdict
-    count = defaultdict(int)
-    for t in tris:
-        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            count[(min(e), max(e))] += 1
-    adj = defaultdict(list)
-    n_edges = 0
-    for (a, b), c in count.items():
-        if c == 1:
-            adj[a].append(b)
-            adj[b].append(a)
-            n_edges += 1
-    if n_edges != n_boundary or len(adj) != n_boundary:
-        return None
-    if any(len(v) != 2 for v in adj.values()):
-        return None
-    loop = [0]
-    prev = -1
-    while True:
-        nxt = adj[loop[-1]][0] if adj[loop[-1]][0] != prev else adj[loop[-1]][1]
-        if nxt == 0:
-            break
-        prev = loop[-1]
-        loop.append(nxt)
-        if len(loop) > n_boundary:
-            return None
-    if len(loop) != n_boundary:
-        return None
-    return np.asarray(loop)
+def _split_segments(bnd, owner, split):
+    """Boundary chain with a midpoint node inserted on every segment
+    (i, i+1) with split[i]; returns (nodes, owner) as _subdivide_chain."""
+    # polyline edge containing each chain segment (i, i+1): the edge of
+    # node i when i is a subdivision node, else the edge leaving the
+    # original vertex at position i
+    edge_of = np.where(owner >= 0, owner, np.cumsum(owner == -1) - 1)
+    s = np.nonzero(split)[0]
+    mids = 0.5 * (bnd[s] + bnd[(s + 1) % len(bnd)])
+    return (np.insert(bnd, s + 1, mids, axis=0),
+            np.insert(owner, s + 1, edge_of[s]))
+
+
+def _chain_keys(nb, n):
+    """edge_keys of the closed chain of nodes 0, 1, ..., nb-1."""
+    i = np.arange(nb)
+    return edge_keys(i, np.roll(i, -1), n)
+
+
+def _boundary_is_chain(tris, nb, n):
+    """True iff the edges used by exactly one triangle are exactly the
+    edges (i, i+1 mod nb) of the boundary chain; n bounds the indices."""
+    edges, uses = np.unique(edge_keys(tris, np.roll(tris, -1, axis=1), n),
+                            return_counts=True)
+    return np.array_equal(edges[uses == 1], np.sort(_chain_keys(nb, n)))
 
 
 def triangulate(b: BoundaryPolyline, target_h: float,
@@ -364,10 +387,9 @@ def triangulate(b: BoundaryPolyline, target_h: float,
         new = interior.copy()
         new[movable] = sums[nb:][movable] / cnts[nb:][movable][:, None]
         ok = points_in_polygon(new, poly)
-        ok &= distance_to_polyline(new, poly) >= 0.5 * spacing
+        ok &= clear_of_polyline(new, poly, 0.5 * spacing)
         interior[ok] = new[ok]
 
-    chain_edges = None
     for _ in range(60):
         if len(bnd) + len(interior) > vertex_budget:
             raise MeshFailure("vertex budget exceeded")
@@ -375,30 +397,10 @@ def triangulate(b: BoundaryPolyline, target_h: float,
         nb = len(bnd)
 
         # boundary recovery: every chain segment must appear as a kept edge
-        edge_set = set()
-        for t in keep:
-            for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                edge_set.add((min(e), max(e)))
-        order = np.arange(nb)
-        nxt = np.roll(order, -1)
-        missing = [(i, j) for i, j in zip(order, nxt)
-                   if (min(i, j), max(i, j)) not in edge_set]
-        if missing:
-            # polyline edge containing each chain segment (i, i+1): the edge
-            # of node i when i is a subdivision node, else the edge leaving
-            # the original vertex at position i
-            edge_of = np.where(owner >= 0, owner, np.cumsum(owner == -1) - 1)
-            new_bnd = []
-            new_owner = []
-            for i in range(nb):
-                new_bnd.append(bnd[i])
-                new_owner.append(owner[i])
-                j = (i + 1) % nb
-                if (min(i, j), max(i, j)) not in edge_set:
-                    new_bnd.append(0.5 * (bnd[i] + bnd[j]))
-                    new_owner.append(edge_of[i])
-            bnd = np.asarray(new_bnd)
-            owner = np.asarray(new_owner)
+        missing = ~np.isin(_chain_keys(nb, len(pts)),
+                           edge_keys(keep, np.roll(keep, -1, axis=1), len(pts)))
+        if missing.any():
+            bnd, owner = _split_segments(bnd, owner, missing)
             continue
 
         # quality pass
@@ -416,7 +418,6 @@ def triangulate(b: BoundaryPolyline, target_h: float,
         # skip triangles whose smallest feature is already at merge scale
         bad &= emin > min_split
         if not bad.any():
-            chain_edges = edge_set
             break
 
         idx = np.argsort(angles)
@@ -433,60 +434,32 @@ def triangulate(b: BoundaryPolyline, target_h: float,
         mids = 0.5 * (bnd + np.roll(bnd, -1, axis=0))
         rads = 0.5 * np.linalg.norm(np.roll(bnd, -1, axis=0) - bnd, axis=1)
         seg_ok = 2.0 * rads > min_split
-        split_segs = set()
-        inserts = []
-        inside = points_in_polygon(centers, poly)
+        enc = (np.linalg.norm(mids - centers[:, None], axis=2) < rads) & seg_ok
+        free = points_in_polygon(centers, poly) & ~enc.any(axis=1)
         tree = cKDTree(np.vstack([bnd, interior]) if len(interior) else bnd)
+        free[free] = tree.query(centers[free])[0] > 0.25 * radii[free]
+        split = np.zeros(nb, dtype=bool)
         accepted = []
-        for c, r, ins in zip(centers, radii, inside):
-            enc = (np.linalg.norm(mids - c, axis=1) < rads) & seg_ok
-            hit = np.nonzero(enc)[0]
-            if hit.size:
-                split_segs.update(int(s) for s in hit[:2])
-                continue
-            if not ins:
-                continue
-            if tree.query(c)[0] <= 0.25 * r:
-                continue
-            if accepted and np.min(np.linalg.norm(
-                    np.asarray(accepted) - c, axis=1)) <= 0.5 * r:
-                continue
-            accepted.append(c)
-            inserts.append(c)
+        for c, r, hit, ok in zip(centers, radii, enc, free):
+            if hit.any():
+                split[np.nonzero(hit)[0][:2]] = True
+            elif ok and not (accepted and np.min(np.linalg.norm(
+                    np.asarray(accepted) - c, axis=1)) <= 0.5 * r):
+                accepted.append(c)
 
-        added = False
-        if inserts:
-            cand = np.asarray(inserts)
+        if accepted:
+            cand = np.asarray(accepted)
             interior = np.vstack([interior, cand]) if len(interior) else cand
-            added = True
-        if split_segs:
-            edge_of = np.where(owner >= 0, owner, np.cumsum(owner == -1) - 1)
-            new_bnd = []
-            new_owner = []
-            for i in range(nb):
-                new_bnd.append(bnd[i])
-                new_owner.append(owner[i])
-                if i in split_segs:
-                    j = (i + 1) % nb
-                    new_bnd.append(0.5 * (bnd[i] + bnd[j]))
-                    new_owner.append(edge_of[i])
-            bnd = np.asarray(new_bnd)
-            owner = np.asarray(new_owner)
-        if not split_segs and not added:
-            chain_edges = edge_set
+        if split.any():
+            bnd, owner = _split_segments(bnd, owner, split)
+        elif not accepted:
             break
     else:
         raise MeshFailure("refinement did not converge")
 
-    if chain_edges is None:
-        pts, keep = delaunay_inside(bnd, interior)
-        nb = len(bnd)
-
-    loop = _loop_from_triangles(keep, len(bnd))
-    if loop is None:
-        raise MeshFailure("boundary of triangulation is not a single loop")
-    # loop currently starts at node 0 (a polyline vertex) but may run
-    # clockwise; boundary nodes are 0..nb-1 in chain order already
+    if not _boundary_is_chain(keep, len(bnd), len(pts)):
+        raise MeshFailure("boundary of triangulation is not the chain")
+    # boundary nodes 0..nb-1 are in chain order
     loop = np.arange(len(bnd))
 
     vmap = vmap0  # polyline vertex -> merged vertex index == chain position

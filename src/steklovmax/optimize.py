@@ -2,8 +2,8 @@
 
 Convex mode optimizes the support values over the convexity/width/anchor
 polyhedron; non-convex mode optimizes the two-graph values under the
-ordering and box constraints.  Candidate shapes whose reconstruction
-self-intersects or fails to mesh are rejected and the step halved.
+ordering and box constraints.  A trial step whose projection, boundary,
+mesh or eigensolve fails is rejected and the step halved.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import build_constraint_set, project
-from .errors import DegenerateBoundary, MeshFailure, NoAscent, SelfIntersection
+from .errors import (DegenerateBoundary, MeshFailure, NoAscent,
+                     ProjectionFailure, SelfIntersection, SolverFailure)
 from .fem import assemble, build_space, solve_spectrum
 from .geometry import (BoundaryPolyline, DiameterReport, SupportVector,
                        AngleGrid, compute_diameter, reconstruct_boundary)
@@ -21,6 +22,9 @@ from .meshing import triangulate
 
 STEP_MIN = 1e-12
 STEP_GROW_CAP = 16.0
+# failures of one candidate point: the step is rejected, not the run
+REJECTED = (ProjectionFailure, SelfIntersection, DegenerateBoundary,
+            MeshFailure, SolverFailure)
 
 
 @dataclass(frozen=True)
@@ -141,12 +145,17 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
                  callback=None):
     """Generic projected-gradient ascent with Armijo backtracking.
 
-    evaluate(x) -> Evaluation (raising SelfIntersection / MeshFailure /
-    DegenerateBoundary on rejectable candidates); gradient(ev) -> ascent
-    direction in the variables; projector(x) -> feasible point.
+    evaluate(x) -> Evaluation; gradient(ev) -> ascent direction in the
+    variables; projector(x) -> feasible point.  evaluate and projector
+    raise one of REJECTED on a candidate that cannot be used; at x0 that
+    raises NoAscent.
     """
-    x = projector(x0)
-    ev = evaluate(x)
+    try:
+        x = projector(x0)
+        ev = evaluate(x)
+    except REJECTED as exc:
+        raise NoAscent(f"initial point rejected by {type(exc).__name__}: "
+                       f"{exc}") from exc
     obj = ev.objective(opts.k)
     history = [obj]
     best_x, best_ev, best_obj = x, ev, obj
@@ -158,14 +167,18 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
         g = gradient(ev)
         accepted = False
         while step >= STEP_MIN:
-            cand = projector(x + step * g)
+            try:
+                cand = projector(x + step * g)
+            except ProjectionFailure:
+                step *= opts.backtrack
+                continue
             move = cand - x
             gain_pred = float(g @ move)
             if np.linalg.norm(move) < 1e-14 * max(1.0, np.linalg.norm(x)):
                 break
             try:
                 cand_ev = evaluate(cand)
-            except (SelfIntersection, MeshFailure, DegenerateBoundary):
+            except REJECTED:
                 step *= opts.backtrack
                 continue
             cand_obj = cand_ev.objective(opts.k)
@@ -211,7 +224,7 @@ def _multistart(x0, opts, evaluate, gradient, projector, active_snapshot,
         try:
             out = _ascent_loop(best[0] + noise, opts, evaluate, gradient,
                                projector, active_snapshot, callback)
-        except (SelfIntersection, MeshFailure, DegenerateBoundary):
+        except NoAscent:
             continue
         history.extend(out[2])
         iters += out[3]
@@ -263,8 +276,6 @@ def ascend(initial: SupportVector, opts: OptimOptions,
     best_x, best_ev, history, iters, converged, message = _multistart(
         initial.p, opts, lambda p: evaluate_support(p, opts), gradient,
         projector, active_snapshot, callback)
-    if not history:
-        raise NoAscent("no feasible evaluation at the initial point")
     return OptimState(
         variables=SupportVector(grid, best_x),
         objective_history=history,

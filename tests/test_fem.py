@@ -123,3 +123,46 @@ def test_tangential_derivative_of_linear_function():
     du = _tangential_derivative(space, u)[:, 0]
     ang = np.arctan2(coords[:, 1], coords[:, 0])
     assert np.allclose(du, -np.sin(ang), atol=5e-3)
+
+
+def p2_numbering_oracle(mesh):
+    """Dict-based P2 numbering: edge dofs in order of first appearance over
+    the triangles' local edges (1,2), (2,0), (0,1)."""
+    tris, v = mesh.triangles, mesh.vertices
+    nv = len(v)
+    edges = {}
+    cell_dofs = np.zeros((len(tris), 6), dtype=int)
+    cell_dofs[:, :3] = tris
+    for t, tri in enumerate(tris):
+        for k, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
+            key = (min(tri[i], tri[j]), max(tri[i], tri[j]))
+            if key not in edges:
+                edges[key] = nv + len(edges)
+            cell_dofs[t, 3 + k] = edges[key]
+    dof_coords = np.zeros((nv + len(edges), 2))
+    dof_coords[:nv] = v
+    for (a, b), d in edges.items():
+        dof_coords[d] = 0.5 * (v[a] + v[b])
+    loop = mesh.boundary_loop
+    arcs = mesh.boundary_arclengths()
+    pts = v[loop]
+    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    bd, ba = [], []
+    for i in range(len(loop)):
+        a, b = loop[i], loop[(i + 1) % len(loop)]
+        bd += [a, edges[(min(a, b), max(a, b))]]
+        ba += [arcs[i], arcs[i] + 0.5 * seg[i]]
+    return cell_dofs, dof_coords, np.asarray(bd), np.asarray(ba)
+
+
+@pytest.mark.parametrize("b,h", [(ellipse_boundary(100), 0.1),
+                                 (disk_boundary(48), 0.2)])
+def test_p2_numbering_matches_oracle(b, h):
+    mesh = triangulate(b, h)
+    space = build_space(mesh, 2)
+    cell_dofs, dof_coords, bdofs, barc = p2_numbering_oracle(mesh)
+    assert space.dof_count == len(dof_coords)
+    assert np.array_equal(space.cell_dofs, cell_dofs)
+    assert np.array_equal(space.dof_coords, dof_coords)
+    assert np.array_equal(space.boundary_dofs, bdofs)
+    assert np.array_equal(space.boundary_arc, barc)

@@ -7,7 +7,8 @@ from steklovmax import AngleGrid, SupportVector, reconstruct_boundary, triangula
 from steklovmax.errors import SelfIntersection
 from steklovmax.geometry import BoundaryPolyline
 from steklovmax.graphs import GraphPair
-from steklovmax.meshing import check_simple
+from steklovmax.meshing import (_boundary_is_chain, check_simple,
+                                clear_of_polyline, points_in_polygon)
 
 
 def ellipse(n=100, a=1.0, b=0.6):
@@ -112,3 +113,89 @@ def test_support_reconstruction_meshes_with_corners():
 def test_invalid_target_h():
     with pytest.raises(ValueError):
         triangulate(ellipse(), -0.1)
+
+
+# Per-edge brute-force oracles: the loops the vectorized predicates replace.
+def inside_oracle(points, poly):
+    x, y = points[:, 0], points[:, 1]
+    vx, vy = poly[:, 0], poly[:, 1]
+    wx, wy = np.roll(vx, -1), np.roll(vy, -1)
+    inside = np.zeros(len(points), dtype=bool)
+    for k in range(len(poly)):
+        cond = (vy[k] > y) != (wy[k] > y)
+        if not cond.any():
+            continue
+        xc = vx[k] + (y - vy[k]) / (wy[k] - vy[k]) * (wx[k] - vx[k])
+        inside ^= cond & (x < xc)
+    return inside
+
+
+def distance_oracle(points, poly):
+    a = poly
+    ab = np.roll(poly, -1, axis=0) - a
+    ab2 = np.maximum(np.sum(ab**2, axis=1), 1e-300)
+    best = np.full(len(points), np.inf)
+    for k in range(len(a)):
+        t = np.clip(((points - a[k]) @ ab[k]) / ab2[k], 0.0, 1.0)
+        proj = a[k] + t[:, None] * ab[k]
+        best = np.minimum(best, np.linalg.norm(points - proj, axis=1))
+    return best
+
+
+def two_graph():
+    # non-convex: both graphs wiggle, the lower one crosses above y = 0
+    n = 60
+    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+    base = np.sqrt(1.0 - x ** 2)
+    lower = -0.6 * base + 0.25 * np.sin(7 * x) * base
+    upper = 0.8 * base + 0.2 * np.cos(9 * x) * base
+    return GraphPair(lower, upper, 2.0).polyline()
+
+
+POLYGONS = [("ellipse", ellipse(100)), ("wavy", wavy()),
+            ("two-graph", two_graph()),
+            ("square", BoundaryPolyline(np.array(
+                [[0, 0], [2, 0], [2, 2], [0, 2]], float)))]
+
+
+def probe_points(poly, seed=0):
+    """Random points around the polygon, points at the height of every
+    vertex, the vertices themselves and points on every edge."""
+    rng = np.random.default_rng(seed)
+    lo, hi = poly.min(axis=0) - 0.1, poly.max(axis=0) + 0.1
+    rand = lo + (hi - lo) * rng.random((3000, 2))
+    level = np.column_stack([lo[0] + (hi[0] - lo[0]) * rng.random(len(poly)),
+                             poly[:, 1]])
+    t = rng.random((len(poly), 1))
+    on_edge = poly + t * (np.roll(poly, -1, axis=0) - poly)
+    return np.vstack([rand, level, poly, on_edge])
+
+
+@pytest.mark.parametrize("name,b", POLYGONS, ids=[c[0] for c in POLYGONS])
+def test_points_in_polygon_matches_oracle(name, b):
+    poly = b.vertices
+    pts = probe_points(poly)
+    assert np.array_equal(points_in_polygon(pts, poly),
+                          inside_oracle(pts, poly))
+    assert points_in_polygon(np.empty((0, 2)), poly).shape == (0,)
+
+
+@pytest.mark.parametrize("name,b", POLYGONS, ids=[c[0] for c in POLYGONS])
+def test_clearance_matches_oracle(name, b):
+    poly = b.vertices
+    pts = probe_points(poly, seed=1)
+    dist = distance_oracle(pts, poly)
+    for r in (0.01, 0.034, 0.1, 0.5):
+        assert np.array_equal(clear_of_polyline(pts, poly, r), dist >= r)
+    assert clear_of_polyline(np.empty((0, 2)), poly, 0.1).shape == (0,)
+
+
+def test_boundary_check_rejects_missing_chain_edge():
+    mesh = triangulate(ellipse(), 0.1)
+    nb, n = len(mesh.boundary_loop), len(mesh.vertices)
+    assert _boundary_is_chain(mesh.triangles, nb, n)
+    # drop one triangle holding the chain edge (0, 1)
+    tris = mesh.triangles
+    holds = np.isin(tris, [0, 1]).sum(axis=1) == 2
+    assert holds.sum() == 1
+    assert not _boundary_is_chain(tris[~holds], nb, n)

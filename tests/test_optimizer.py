@@ -6,6 +6,9 @@ import pytest
 from steklovmax import (AngleGrid, OptimOptions, SupportVector, ascend,
                         ascend_nonconvex, build_constraint_set, disk_graphs,
                         disk_support)
+from steklovmax import optimize
+from steklovmax.errors import (MeshFailure, NoAscent, ProjectionFailure,
+                               SolverFailure)
 from steklovmax.graphs import GraphPair
 from steklovmax.optimize import project_graphs
 
@@ -112,3 +115,63 @@ def test_determinism_same_seed():
     s2 = ascend(disk_support(opts), opts)
     assert np.array_equal(s1.variables.p, s2.variables.p)
     assert s1.objective_history == s2.objective_history
+
+
+def _monotone(h):
+    return all(b >= a - 1e-12 for a, b in zip(h, h[1:]))
+
+
+@pytest.mark.parametrize("target,error", [
+    ("evaluate_support", SolverFailure("injected")),
+    ("project", ProjectionFailure("injected"))])
+def test_trial_failure_rejects_step(monkeypatch, target, error):
+    # the second call is the first trial step of the first iteration
+    real = getattr(optimize, target)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, target, flaky)
+    opts = OptimOptions(k=1, **dict(FAST, max_iters=3))
+    st = ascend(disk_support(opts), opts)
+    assert len(calls) > 2
+    assert _monotone(st.objective_history)
+    assert st.objective_history[-1] > st.objective_history[0]
+
+
+def test_rejected_start_raises_no_ascent(monkeypatch):
+    def broken(p, opts):
+        raise MeshFailure("injected")
+
+    monkeypatch.setattr(optimize, "evaluate_support", broken)
+    opts = OptimOptions(k=1, **FAST)
+    with pytest.raises(NoAscent, match="MeshFailure"):
+        ascend(disk_support(opts), opts)
+
+
+def test_rejected_restart_is_skipped(monkeypatch):
+    # every evaluation after the first pass's last iteration fails, so each
+    # restart is rejected at its start
+    real = optimize.evaluate_support
+    failed = []
+
+    def evaluate(p, opts):
+        if failed:
+            failed.append(1)
+            raise MeshFailure("injected")
+        return real(p, opts)
+
+    def callback(it, x, ev):
+        if it == opts.max_iters:
+            failed.append(1)
+
+    monkeypatch.setattr(optimize, "evaluate_support", evaluate)
+    opts = OptimOptions(k=1, **dict(FAST, max_iters=2, restarts=2))
+    st = ascend(disk_support(opts), opts, callback=callback)
+    assert len(failed) == 1 + opts.restarts
+    assert len(st.objective_history) == opts.max_iters + 1
+    assert _monotone(st.objective_history)
