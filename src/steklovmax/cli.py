@@ -1,7 +1,7 @@
 """Command-line front end: configuration parsing, run modes, artifacts.
 
 Artifacts per run: result.json (structured results), shape.csv / shape.svg
-(final boundary), spectrum.csv (eigenvalues and traces), history.csv
+(final boundary), spectrum.csv (eigenvalues), history.csv
 (objective per accepted iterate).  Exit codes: 0 success, 2 solver failure,
 3 configuration error.
 """
@@ -262,10 +262,7 @@ def _emit_shape(out, b: BoundaryPolyline):
 
 
 def _emit_spectrum(out, cfg, b: BoundaryPolyline, m=9):
-    mesh = triangulate(b, cfg.mesh_h_factor * cfg.diameter)
-    space = build_space(mesh, 2)
-    K, B = assemble(space)
-    spec = solve_spectrum(space, K, B, m)
+    spec = _spectrum_of(cfg, b, m)
     spectrum_to_csv(spec, os.path.join(out, "spectrum.csv"))
     return spec
 
@@ -282,13 +279,12 @@ def _run_optimize(cfg, out):
         var_val = {"p": [float(x) for x in state.variables.p],
                    "q": [float(x) for x in state.variables.q]}
     _emit_shape(out, state.boundary)
-    _emit_spectrum(out, cfg, state.boundary, max(cfg.k + 3, 9))
+    spec = _emit_spectrum(out, cfg, state.boundary, max(cfg.k + 3, 9))
     _write_history(os.path.join(out, "history.csv"),
                    state.objective_history)
     payload = _result_payload(cfg, state, var_key, var_val)
     payload["multiplicity"] = multiplicity_report(state, cfg.k)
-    spec_now = _spectrum_of(cfg, state.boundary, cfg.k + 2)
-    payload["bound_check"] = check_bound(state.boundary, spec_now, cfg.k)
+    payload["bound_check"] = check_bound(state.boundary, spec, cfg.k)
     return payload
 
 

@@ -27,7 +27,7 @@ class MeshFailure(SteklovMaxError):
 
 
 class SolverFailure(SteklovMaxError):
-    """Factorization of the interior block failed (degenerate mesh)."""
+    """The sparse factorization or the Lanczos eigensolve failed."""
 
 
 class ZeroBoundaryTrace(SteklovMaxError):

@@ -1,18 +1,17 @@
 """Discrete Steklov eigenproblem on a triangle mesh.
 
 Lagrange P1/P2 assembly of the stiffness matrix K and the boundary mass
-matrix B, followed by elimination of interior unknowns: the Schur
-complement S = K_bb - K_bi K_ii^-1 K_ib is a discrete Dirichlet-to-Neumann
-operator, and the dense symmetric pencil (S, B_bb) on boundary unknowns
-carries exactly the Steklov spectrum.
+matrix B.  The Steklov spectrum is the finite spectrum of the sparse
+pencil K x = sigma B x; B vanishes on interior unknowns, so the pencil
+also has infinite eigenvalues, which shift-invert Lanczos never reaches.
+Only the few smallest eigenpairs are computed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import SolverFailure, ZeroBoundaryTrace
 from .meshing import TriangleMesh, edge_keys
@@ -179,7 +178,8 @@ class SteklovSpectrum:
     traces[:, k] holds eigenfunction k at the boundary dofs (loop order),
     normalized so traces^T B_bb traces = I; tangential[:, k] is the
     arclength derivative of the order-2 boundary restriction at the same
-    nodes.
+    nodes.  b_boundary is the dense B_bb itself: the solver does not need
+    it, but it is what the trace normalization is checked against.
     """
 
     eigenvalues: np.ndarray
@@ -223,40 +223,36 @@ def _tangential_derivative(space: FEMSpace, y):
 def solve_spectrum(space: FEMSpace, K, B, m: int) -> SteklovSpectrum:
     """The m+1 smallest Steklov eigenvalues of the pencil (K, B).
 
-    Interior dofs are eliminated through a sparse LU of K_ii; the reduced
-    dense symmetric problem S y = sigma B_bb y is solved completely.
+    Shift-invert Lanczos (ARPACK mode 3) at sigma = -1 on the full sparse
+    pencil: K + B is symmetric positive definite, so one sparse LU of it
+    serves every Lanczos step, and the singular B defines the (semi-)inner
+    product.  The start vector is fixed, so repeated calls are identical.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     bset = space.boundary_dofs
-    ndof = space.dof_count
-    mask = np.ones(ndof, dtype=bool)
-    mask[bset] = False
-    iset = np.nonzero(mask)[0]
-
-    Kcsc = K.tocsc()
-    Kbb = Kcsc[np.ix_(bset, bset)].toarray()
-    Bbb = B.tocsc()[np.ix_(bset, bset)].toarray()
-    if len(iset):
-        Kii = Kcsc[np.ix_(iset, iset)].tocsc()
-        Kib = Kcsc[np.ix_(iset, bset)].toarray()
-        try:
-            lu = splu(Kii)
-        except RuntimeError as exc:
-            raise SolverFailure(f"interior factorization failed: {exc}") from exc
-        X = lu.solve(Kib)
-        S = Kbb - Kib.T @ X
-    else:
-        S = Kbb
-    S = 0.5 * (S + S.T)
-    Bbb = 0.5 * (Bbb + Bbb.T)
+    n = space.dof_count
+    nev = min(m + 1, len(bset))
+    if nev >= n - 1:
+        raise SolverFailure(f"Lanczos cannot compute {nev} eigenpairs "
+                            f"of a pencil with {n} dofs")
     try:
-        w, y = eigh(S, Bbb)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"dense eigensolve failed: {exc}") from exc
-    nkeep = min(m + 1, len(w))
-    w = w[:nkeep]
-    y = y[:, :nkeep]
+        lu = splu((K + B).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SolverFailure(f"factorization of K + B failed: {exc}") from exc
+    opinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    # not the constant vector: that is the sigma_0 eigenvector itself
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        w, x = eigsh(K, k=nev, M=B, sigma=-1.0, OPinv=opinv, tol=0, v0=v0)
+    except ArpackError as exc:
+        raise SolverFailure(f"Lanczos eigensolve failed: {exc}") from exc
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    y = x[bset][:, order]
+    Bbb = B.tocsc()[np.ix_(bset, bset)].toarray()
+    Bbb = 0.5 * (Bbb + Bbb.T)
     dy = _tangential_derivative(space, y)
     return SteklovSpectrum(eigenvalues=w, traces=y, tangential=dy,
                            space=space, b_boundary=Bbb)

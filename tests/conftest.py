@@ -6,6 +6,7 @@ import pytest
 from steklovmax import (AngleGrid, SupportVector, assemble, build_space,
                         reconstruct_boundary, solve_spectrum, triangulate)
 from steklovmax.geometry import BoundaryPolyline
+from steklovmax.graphs import GraphPair
 
 
 def solve_boundary(b, target_h=0.1, m=9, order=2):
@@ -23,6 +24,15 @@ def ellipse_boundary(n=100, a=1.0, b=0.6):
 
 def disk_boundary(n=100, r=1.0):
     return ellipse_boundary(n, r, r)
+
+
+def two_graph_boundary(n=60):
+    """Non-convex: both graphs wiggle, the lower one crosses above y = 0."""
+    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+    base = np.sqrt(1.0 - x ** 2)
+    lower = -0.6 * base + 0.25 * np.sin(7 * x) * base
+    upper = 0.8 * base + 0.2 * np.cos(9 * x) * base
+    return GraphPair(lower, upper, 2.0).polyline()
 
 
 @pytest.fixture(scope="session")

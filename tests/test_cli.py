@@ -158,11 +158,19 @@ def test_experiment_bound_mode(tmp_path):
 
 
 def test_jobs_fanout_namespaced(tmp_path):
+    par = tmp_path / "par"
     rc = main(["--mode", "spectrum", "--k", "1,2", "--jobs", "2",
-               "--out-dir", str(tmp_path)] + FAST)
+               "--out-dir", str(par)] + FAST)
     assert rc == 0
-    assert (tmp_path / "k1" / "result.json").exists()
-    assert (tmp_path / "k2" / "result.json").exists()
+    # the Lanczos solves run concurrently on the --jobs threads; each k's
+    # eigenvalues must equal those of a serial single-k run exactly
+    for k in (1, 2):
+        ser = tmp_path / f"serial{k}"
+        assert main(["--mode", "spectrum", "--k", str(k),
+                     "--out-dir", str(ser)] + FAST) == 0
+        fanned = json.loads((par / f"k{k}" / "result.json").read_text())
+        serial = json.loads((ser / "result.json").read_text())
+        assert fanned["eigenvalues"] == serial["eigenvalues"]
 
 
 def test_console_entry_point(tmp_path):

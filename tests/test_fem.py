@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, splu
 
+import steklovmax.fem as fem
 from steklovmax import (assemble, build_space, harmonic_extension,
                         rayleigh_quotient, solve_spectrum, triangulate)
-from conftest import disk_boundary, ellipse_boundary
+from steklovmax.errors import SolverFailure
+from steklovmax.geometry import BoundaryPolyline
+from conftest import disk_boundary, ellipse_boundary, two_graph_boundary
 
 
 def test_disk_spectrum_benchmark(disk_spec):
@@ -166,3 +171,91 @@ def test_p2_numbering_matches_oracle(b, h):
     assert np.array_equal(space.dof_coords, dof_coords)
     assert np.array_equal(space.boundary_dofs, bdofs)
     assert np.array_equal(space.boundary_arc, barc)
+
+
+def schur_oracle(space, K, B):
+    """Complete spectrum of the dense Dirichlet-to-Neumann pencil: interior
+    dofs eliminated by the Schur complement S = K_bb - K_bi K_ii^-1 K_ib,
+    then a dense generalized eigh of (S, B_bb)."""
+    bset = space.boundary_dofs
+    iset = np.setdiff1d(np.arange(space.dof_count), bset)
+    Kc = K.tocsc()
+    Kib = Kc[np.ix_(iset, bset)].toarray()
+    S = (Kc[np.ix_(bset, bset)].toarray()
+         - Kib.T @ splu(Kc[np.ix_(iset, iset)].tocsc()).solve(Kib))
+    Bbb = B.tocsc()[np.ix_(bset, bset)].toarray()
+    return eigh(0.5 * (S + S.T), 0.5 * (Bbb + Bbb.T))
+
+
+ORACLE_CASES = [pytest.param(disk_boundary(100), 4, id="disk"),
+                pytest.param(ellipse_boundary(100, 1.0, 0.3), 5,
+                             id="flat-ellipse"),
+                pytest.param(two_graph_boundary(), 5, id="two-graph")]
+
+
+def _solved(b, h=0.1):
+    space = build_space(triangulate(b, h), 2)
+    return (space,) + assemble(space)
+
+
+@pytest.mark.parametrize("b,m", ORACLE_CASES)
+def test_spectrum_matches_schur_oracle(b, m):
+    # the disk's sigma_1..sigma_4 are two double pairs; m = 4 keeps both
+    space, K, B = _solved(b)
+    spec = solve_spectrum(space, K, B, m)
+    w, y = schur_oracle(space, K, B)
+    w, y = w[:m + 1], y[:, :m + 1]
+    assert len(spec.eigenvalues) == m + 1
+    assert abs(spec.eigenvalues[0] - w[0]) < 1e-10
+    assert np.allclose(spec.eigenvalues[1:], w[1:], rtol=1e-10, atol=0)
+    # the oracle's traces lie in the span of the solver's: B-orthogonal
+    # projection onto that span reproduces them
+    T, Bbb = spec.traces, spec.b_boundary
+    assert np.abs(T @ (T.T @ Bbb @ y) - y).max() < 1e-8
+    assert np.allclose(T.T @ Bbb @ T, np.eye(m + 1), atol=1e-8)
+
+
+def test_spectrum_repeatable():
+    space, K, B = _solved(disk_boundary(100))
+    a = solve_spectrum(space, K, B, 4)
+    b = solve_spectrum(space, K, B, 4)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a.traces, b.traces)
+
+
+def _unit_square_space():
+    # the unit square as two triangles: P2 has 9 dofs, 8 on the boundary
+    b = BoundaryPolyline(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
+    return _solved(b, 10.0)
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def test_factorization_failure_named(monkeypatch):
+    space, K, B = _unit_square_space()
+    monkeypatch.setattr(fem, "splu",
+                        _raise(RuntimeError("Factor is exactly singular")))
+    with pytest.raises(SolverFailure, match="factorization"):
+        solve_spectrum(space, K, B, 1)
+
+
+@pytest.mark.parametrize("exc", [
+    ArpackError(-9999),
+    ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((9, 0)))],
+    ids=["arpack-error", "no-convergence"])
+def test_lanczos_failure_named(monkeypatch, exc):
+    space, K, B = _unit_square_space()
+    monkeypatch.setattr(fem, "eigsh", _raise(exc))
+    with pytest.raises(SolverFailure, match="Lanczos"):
+        solve_spectrum(space, K, B, 1)
+
+
+def test_too_many_eigenpairs_rejected():
+    space, K, B = _unit_square_space()
+    assert space.dof_count == 9 and len(space.boundary_dofs) == 8
+    with pytest.raises(SolverFailure, match="Lanczos"):
+        solve_spectrum(space, K, B, 7)

@@ -9,6 +9,7 @@ from steklovmax.geometry import BoundaryPolyline
 from steklovmax.graphs import GraphPair
 from steklovmax.meshing import (_boundary_is_chain, check_simple,
                                 clear_of_polyline, points_in_polygon)
+from conftest import two_graph_boundary
 
 
 def ellipse(n=100, a=1.0, b=0.6):
@@ -142,18 +143,8 @@ def distance_oracle(points, poly):
     return best
 
 
-def two_graph():
-    # non-convex: both graphs wiggle, the lower one crosses above y = 0
-    n = 60
-    x = np.linspace(-1.0, 1.0, n + 2)[1:-1]
-    base = np.sqrt(1.0 - x ** 2)
-    lower = -0.6 * base + 0.25 * np.sin(7 * x) * base
-    upper = 0.8 * base + 0.2 * np.cos(9 * x) * base
-    return GraphPair(lower, upper, 2.0).polyline()
-
-
 POLYGONS = [("ellipse", ellipse(100)), ("wavy", wavy()),
-            ("two-graph", two_graph()),
+            ("two-graph", two_graph_boundary()),
             ("square", BoundaryPolyline(np.array(
                 [[0, 0], [2, 0], [2, 2], [0, 2]], float)))]
 
