@@ -20,10 +20,7 @@ from .fem import (FEMSpace, SteklovSpectrum, assemble, build_space,
 from .geometry import (AngleGrid, BoundaryField, BoundaryPolyline,
                        DiameterReport, SupportVector, compute_diameter,
                        diameter_directional_derivative, reconstruct_boundary)
-from .gradients import (ClusterDerivativeMatrix, CurvatureField,
-                        cluster_indices, cluster_matrix,
-                        eigenvalue_shape_derivative, graph_gradient,
-                        polyline_curvature, support_gradient,
+from .gradients import (cluster_indices, graph_gradient, support_gradient,
                         vertex_field_derivative)
 from .graphs import GraphPair
 from .meshing import TriangleMesh, triangulate

@@ -19,13 +19,12 @@ import numpy as np
 from .errors import ConfigError, SteklovMaxError
 from .experiments import (PerturbationSpec, bound_report, check_bound,
                           multiplicity_report, slope_report)
-from .fem import assemble, build_space, solve_spectrum, spectrum_to_csv
+from .fem import spectrum_to_csv
 from .geometry import (AngleGrid, BoundaryPolyline, SupportVector,
                        compute_diameter, reconstruct_boundary)
 from .graphs import GraphPair
-from .meshing import triangulate
 from .optimize import (OptimOptions, ascend, ascend_nonconvex, disk_graphs,
-                       disk_support, evaluate_boundary)
+                       disk_support, solve_boundary)
 
 MODES = ("optimize-convex", "optimize-nonconvex", "spectrum",
          "experiment:slope", "experiment:bound", "experiment:multiplicity",
@@ -262,7 +261,7 @@ def _emit_shape(out, b: BoundaryPolyline):
 
 
 def _emit_spectrum(out, cfg, b: BoundaryPolyline, m=9):
-    spec = _spectrum_of(cfg, b, m)
+    spec = solve_boundary(b, cfg.mesh_h_factor * cfg.diameter, m)
     spectrum_to_csv(spec, os.path.join(out, "spectrum.csv"))
     return spec
 
@@ -286,13 +285,6 @@ def _run_optimize(cfg, out):
     payload["multiplicity"] = multiplicity_report(state, cfg.k)
     payload["bound_check"] = check_bound(state.boundary, spec, cfg.k)
     return payload
-
-
-def _spectrum_of(cfg, b, m):
-    mesh = triangulate(b, cfg.mesh_h_factor * cfg.diameter)
-    space = build_space(mesh, 2)
-    K, B = assemble(space)
-    return solve_spectrum(space, K, B, m)
 
 
 def _run_spectrum(cfg, out):
@@ -344,7 +336,8 @@ def _run_experiment(cfg, out):
         triples = []
         for sv in (disk_support(opts), _flat_support(opts)):
             b = reconstruct_boundary(sv)
-            triples.append((b, _spectrum_of(cfg, b, cfg.k + 2), cfg.k))
+            triples.append((b, solve_boundary(b, opts.target_h, cfg.k + 2),
+                            cfg.k))
         rep = bound_report(triples)
     else:
         opts = _optim_options(cfg)

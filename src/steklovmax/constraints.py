@@ -43,11 +43,6 @@ class LinearConstraintSet:
         sgn = np.where(self.senses == "<=", 1.0, -1.0)[:, None]
         return self.coeffs * sgn, self.bounds * np.where(self.senses == "<=", 1.0, -1.0)
 
-    def select(self, *tags):
-        mask = np.isin(self.tags, tags)
-        return LinearConstraintSet(self.coeffs[mask], self.bounds[mask],
-                                   self.senses[mask], self.tags[mask])
-
 
 def convexity_rows(n, h):
     """N rows p_i + (p_{i+1} + p_{i-1} - 2 p_i)/h^2 >= 0 (cyclic indices)."""

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import assemble, build_space, solve_spectrum
 from .geometry import BoundaryPolyline, compute_diameter
-from .meshing import triangulate
+from .optimize import solve_boundary
 
 
 def wallis_integral(p):
@@ -125,10 +124,7 @@ def perturbed_disk_boundary(eps, pspec: PerturbationSpec, n_angles=200,
 
 def _objective_at(eps, pspec, n_angles, target_h, scale=1.0):
     b = perturbed_disk_boundary(eps, pspec, n_angles, scale)
-    mesh = triangulate(b, target_h)
-    space = build_space(mesh, 2)
-    K, B = assemble(space)
-    spec = solve_spectrum(space, K, B, 3)
+    spec = solve_boundary(b, target_h, 3)
     return float(spec.eigenvalues[1]) * compute_diameter(b).diameter
 
 

@@ -195,28 +195,19 @@ def _tangential_derivative(space: FEMSpace, y):
     Per segment the restriction is quadratic (P2) or linear (P1) in arc
     parameter; one-sided derivatives at vertices are averaged.
     """
-    loop = space.mesh.boundary_loop
-    n = len(loop)
-    pts = space.mesh.vertices[loop]
-    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    m = y.shape[1]
+    pts = space.mesh.vertices[space.mesh.boundary_loop]
+    L = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)[:, None]
     if space.order == 1:
-        dy = np.zeros((n, m))
-        for i in range(n):
-            dfwd = (y[(i + 1) % n] - y[i]) / seg[i]
-            dbwd = (y[i] - y[i - 1]) / seg[i - 1]
-            dy[i] = 0.5 * (dfwd + dbwd)
-        return dy
-    nb = 2 * n
-    dy = np.zeros((nb, m))
-    for i in range(n):
-        u0 = y[2 * i]
-        um = y[2 * i + 1]
-        u1 = y[(2 * i + 2) % nb]
-        L = seg[i]
-        dy[2 * i] += 0.5 * (-3.0 * u0 + 4.0 * um - u1) / L
-        dy[2 * i + 1] = (u1 - u0) / L
-        dy[(2 * i + 2) % nb] += 0.5 * (u0 - 4.0 * um + 3.0 * u1) / L
+        fwd = (np.roll(y, -1, axis=0) - y) / L
+        return 0.5 * (fwd + np.roll(fwd, 1, axis=0))
+    # segment i runs from vertex dof u0 over midpoint um to vertex dof u1
+    u0, um = y[0::2], y[1::2]
+    u1 = np.roll(u0, -1, axis=0)
+    start = 0.5 * (-3.0 * u0 + 4.0 * um - u1) / L
+    end = 0.5 * (u0 - 4.0 * um + 3.0 * u1) / L
+    dy = np.empty_like(y)
+    dy[0::2] = start + np.roll(end, 1, axis=0)
+    dy[1::2] = (u1 - u0) / L
     return dy
 
 
@@ -287,12 +278,3 @@ def rayleigh_quotient(K, B, v) -> float:
 def spectrum_to_csv(spec: SteklovSpectrum, path):
     rows = np.column_stack([np.arange(len(spec.eigenvalues)), spec.eigenvalues])
     np.savetxt(path, rows, delimiter=",", fmt=("%d", "%.17g"))
-
-
-def traces_to_json_dict(spec: SteklovSpectrum):
-    return {
-        "eigenvalues": spec.eigenvalues.tolist(),
-        "arc": spec.space.boundary_arc.tolist(),
-        "traces": spec.traces.T.tolist(),
-        "tangential": spec.tangential.T.tolist(),
-    }

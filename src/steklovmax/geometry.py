@@ -54,14 +54,6 @@ class SupportVector:
             raise ValueError("p contains non-finite values")
         object.__setattr__(self, "p", p)
 
-    def to_json_dict(self):
-        return {"support": self.p.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        p = np.asarray(d["support"], dtype=float)
-        return cls(AngleGrid(len(p)), p)
-
 
 @dataclass(frozen=True)
 class BoundaryPolyline:
@@ -138,19 +130,15 @@ class DiameterReport:
 
 @dataclass(frozen=True)
 class BoundaryField:
-    """Per-vertex boundary data: scalar values (V.n) or full 2D vectors."""
+    """Per-vertex boundary velocity: one 2D vector per polyline vertex."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim not in (1, 2) or (v.ndim == 2 and v.shape[1] != 2):
-            raise ValueError("values must have shape (n,) or (n, 2)")
+        if v.ndim != 2 or v.shape[1] != 2:
+            raise ValueError("values must have shape (n, 2)")
         object.__setattr__(self, "values", v)
-
-    @property
-    def is_vector(self):
-        return self.values.ndim == 2
 
 
 def reconstruct_boundary(sv: SupportVector) -> BoundaryPolyline:
@@ -169,103 +157,17 @@ def reconstruct_boundary(sv: SupportVector) -> BoundaryPolyline:
     return BoundaryPolyline(verts)
 
 
-def convexity_residuals(sv: SupportVector) -> np.ndarray:
-    """Discrete radius-of-curvature samples p_i + (p_{i+1}+p_{i-1}-2p_i)/h^2.
-
-    Nonnegativity of every residual is the discrete convexity constraint;
-    the map is linear in p.
-    """
-    p = sv.p
-    h = sv.grid.h
-    return p + (np.roll(p, -1) + np.roll(p, 1) - 2.0 * p) / h**2
-
-
-def diameter_constraints(sv: SupportVector, d: float):
-    """Constraint rows pinning the diameter to d: N/2 width rows
-    p_i + p_{i+N/2} <= d plus the anchor row p_0 + p_{N/2} >= d.
-    """
-    from .constraints import LinearConstraintSet, diameter_rows
-
-    if d <= 0:
-        raise ValueError("d must be positive")
-    n = sv.grid.n_angles
-    w, anchor = diameter_rows(n, d)
-    coeffs = np.vstack([w, anchor])
-    bounds = np.full(n // 2 + 1, float(d))
-    senses = np.array(["<="] * (n // 2) + [">="])
-    tags = np.array(["width"] * (n // 2) + ["anchor"])
-    return LinearConstraintSet(coeffs, bounds, senses, tags)
-
-
-def widths(sv: SupportVector):
-    """Evaluated widths p_i + p_{i+N/2}, i = 0..N/2-1."""
-    p = sv.p
-    n = sv.grid.n_angles
-    return p[: n // 2] + p[n // 2:]
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def is_convex_loop(vertices, tol=1e-12):
-    """True iff consecutive edge cross products all share one sign (ccw)."""
-    v = np.asarray(vertices, dtype=float)
-    e = np.roll(v, -1, axis=0) - v
-    cr = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-    scale = float(np.max(np.abs(e))) ** 2 or 1.0
-    return bool(np.all(cr >= -tol * scale))
-
-
-def _diameter_allpairs(points):
-    """Brute-force max pairwise distance; O(n^2), used as oracle and fallback."""
-    pts = np.asarray(points, dtype=float)
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    return float(np.sqrt(d2.max()))
-
-
-def _diameter_calipers(points):
-    """Rotating-calipers diameter of a convex point loop (hull-based)."""
-    pts = sorted(map(tuple, np.asarray(points, dtype=float)))
-    upper, lower = [], []
-    for q in pts:
-        while len(upper) > 1 and _cross(upper[-2], upper[-1], q) >= 0:
-            upper.pop()
-        while len(lower) > 1 and _cross(lower[-2], lower[-1], q) <= 0:
-            lower.pop()
-        upper.append(q)
-        lower.append(q)
-    i, j = 0, len(lower) - 1
-    best = 0.0
-    while i < len(upper) - 1 or j > 0:
-        a, b = upper[i], lower[j]
-        best = max(best, (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)
-        if i == len(upper) - 1:
-            j -= 1
-        elif j == 0:
-            i += 1
-        elif ((upper[i + 1][1] - upper[i][1]) * (lower[j][0] - lower[j - 1][0])
-              > (lower[j][1] - lower[j - 1][1]) * (upper[i + 1][0] - upper[i][0])):
-            i += 1
-        else:
-            j -= 1
-    return float(np.sqrt(best))
-
-
 def compute_diameter(b: BoundaryPolyline, pair_tol: float = PAIR_TOL) -> DiameterReport:
     """Diameter over the vertex set plus all pairs within pair_tol of it.
 
-    Convex loops use rotating calipers for the max; the pair listing is a
-    vectorized scan so that every near-diameter pair is reported.
+    One squared-distance matrix gives both the maximum and the list of
+    every near-diameter pair.
     """
     v = b.vertices
     if len(v) < 2:
         raise DegenerateBoundary("need at least 2 distinct vertices")
-    if is_convex_loop(v):
-        diam = _diameter_calipers(v)
-    else:
-        diam = _diameter_allpairs(v)
     d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
+    diam = float(np.sqrt(d2.max()))
     cut = (diam * (1.0 - pair_tol)) ** 2
     ii, jj = np.nonzero(np.triu(d2 >= cut, k=1))
     pairs = [(int(i), int(j)) for i, j in zip(ii, jj)]
@@ -280,8 +182,6 @@ def diameter_directional_derivative(b: BoundaryPolyline, rep: DiameterReport,
     """
     if not rep.pairs:
         raise EmptyDiameterSet("diameter report has no pairs")
-    if not field.is_vector:
-        raise ValueError("diameter derivative needs the vector-field variant")
     v = b.vertices
     w = field.values
     best = -np.inf

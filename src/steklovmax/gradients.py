@@ -1,11 +1,11 @@
-"""Hadamard shape derivatives of Steklov eigenvalues.
+"""Shape derivatives of Steklov eigenvalues under polygon vertex velocities.
 
-All boundary integrals use the piecewise-linear (in arclength) nodal
-representation of the squared trace quantities, with the normal-derivative
-square replaced by sigma^2 u^2 through the boundary condition.
+The boundary is the reconstructed polyline, and a velocity per vertex moves
+it piecewise linearly.  The derivative is the polygon-exact Hadamard formula
+of _pair_weights, integrated edgewise over the P2 boundary dofs with the
+normal-derivative square replaced by sigma^2 u^2 through the boundary
+condition.  Clustered eigenvalues use the cluster matrix of _gradient_rows.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,79 +17,12 @@ from .graphs import GraphPair
 CLUSTER_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class CurvatureField:
-    """Discrete curvature, one value per polyline vertex."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-
-@dataclass(frozen=True)
-class ClusterDerivativeMatrix:
-    """Directional-derivative matrix of an m-fold eigenvalue cluster."""
-
-    matrix: np.ndarray
-
-    def eigenvalues(self):
-        return np.linalg.eigvalsh(self.matrix)
-
-
-def polyline_curvature(b: BoundaryPolyline) -> CurvatureField:
-    """Turning angle at each vertex over half the adjacent edge lengths.
-
-    Positive at convex (counterclockwise) corners; the nodal value times
-    the local P1 weight recovers the turning-angle measure.
-    """
-    v = b.vertices
-    e = np.roll(v, -1, axis=0) - v          # edge i: v_i -> v_{i+1}
-    lens = np.linalg.norm(e, axis=1)
-    eprev = np.roll(e, 1, axis=0)
-    lprev = np.roll(lens, 1)
-    cross = eprev[:, 0] * e[:, 1] - eprev[:, 1] * e[:, 0]
-    dot = np.sum(eprev * e, axis=1)
-    ang = np.arctan2(cross, dot)
-    return CurvatureField(ang / (0.5 * (lprev + lens)))
-
-
-def vertex_normals(b: BoundaryPolyline):
-    """Outward unit normal per vertex (normalized mean of adjacent edge normals)."""
-    v = b.vertices
-    e = np.roll(v, -1, axis=0) - v
-    n_edge = np.column_stack([e[:, 1], -e[:, 0]])
-    n_edge /= np.linalg.norm(n_edge, axis=1)[:, None]
-    n_vert = n_edge + np.roll(n_edge, 1, axis=0)
-    norm = np.linalg.norm(n_vert, axis=1)
-    norm = np.where(norm < 1e-14, 1.0, norm)
-    return n_vert / norm[:, None]
-
-
 def _vertex_arcs(spec: SteklovSpectrum):
     """Arclength of each polyline vertex along the mesh boundary loop."""
     space = spec.space
     mesh = space.mesh
     loop_arcs = mesh.boundary_arclengths()
     return loop_arcs[mesh.boundary_vertex_map]
-
-
-def interpolate_to_boundary_dofs(spec: SteklovSpectrum, vertex_values):
-    """P1 interpolation (in arclength) of per-polyline-vertex data onto the
-    boundary dofs of the spectrum's space."""
-    space = spec.space
-    arcs_v = _vertex_arcs(spec)
-    per = space.mesh.boundary_arclengths()
-    total = per[-1] + np.linalg.norm(
-        space.mesh.vertices[space.mesh.boundary_loop[-1]]
-        - space.mesh.vertices[space.mesh.boundary_loop[0]])
-    order = np.argsort(arcs_v)
-    xs = arcs_v[order]
-    ys = np.asarray(vertex_values, dtype=float)[order]
-    # periodic extension for interpolation across the seam
-    xs_ext = np.concatenate([xs, [xs[0] + total]])
-    ys_ext = np.concatenate([ys, [ys[0]]])
-    return np.interp(space.boundary_arc, xs_ext, ys_ext)
 
 
 def _interval_lengths(spec: SteklovSpectrum):
@@ -99,43 +32,6 @@ def _interval_lengths(spec: SteklovSpectrum):
     seg = np.diff(arc)
     last = np.linalg.norm(pts[0] - pts[-1])
     return np.concatenate([seg, [last]])
-
-
-def boundary_integral(spec: SteklovSpectrum, f, g):
-    """Integral over the boundary of the product of two P1 nodal functions."""
-    L = _interval_lengths(spec)
-    f1 = np.roll(f, -1)
-    g1 = np.roll(g, -1)
-    return float(np.sum(L / 6.0 * (2 * f * g + f * g1 + f1 * g + 2 * f1 * g1)))
-
-
-def integral_weights(spec: SteklovSpectrum, f):
-    """Vector w with w . g = boundary_integral(f, g) for nodal g."""
-    L = _interval_lengths(spec)
-    Lm = np.roll(L, 1)
-    return (L / 6.0) * (2 * f + np.roll(f, -1)) + (Lm / 6.0) * (2 * f + np.roll(f, 1))
-
-
-def _pair_integrand(spec: SteklovSpectrum, i, j, h_dofs):
-    sigma = 0.5 * (spec.eigenvalues[i] + spec.eigenvalues[j])
-    ui, uj = spec.traces[:, i], spec.traces[:, j]
-    ti, tj = spec.tangential[:, i], spec.tangential[:, j]
-    return ti * tj - sigma**2 * ui * uj - sigma * h_dofs * ui * uj
-
-
-def _as_dof_values(spec: SteklovSpectrum, field):
-    if isinstance(field, BoundaryField):
-        vals = field.values
-        if field.is_vector:
-            raise ValueError("scalar V.n field expected here")
-    elif isinstance(field, CurvatureField):
-        vals = field.values
-    else:
-        vals = np.asarray(field, dtype=float)
-    nb = len(spec.space.boundary_dofs)
-    if vals.shape == (nb,):
-        return vals
-    return interpolate_to_boundary_dofs(spec, vals)
 
 
 def cluster_indices(spec: SteklovSpectrum, k, cluster_tol=CLUSTER_TOL):
@@ -149,39 +45,6 @@ def cluster_indices(spec: SteklovSpectrum, k, cluster_tol=CLUSTER_TOL):
     while hi + 1 < len(w) and abs(w[hi + 1] - w[hi]) < cluster_tol * scale:
         hi += 1
     return lo, hi
-
-
-def eigenvalue_shape_derivative(spec: SteklovSpectrum, k, vn, h,
-                                cluster_tol=CLUSTER_TOL) -> float:
-    """Derivative of a simple sigma_k along a normal perturbation field.
-
-    vn and h are per-polyline-vertex fields (or per-boundary-dof arrays);
-    raises ClusteredEigenvalue when the gap test fails.
-    """
-    lo, hi = cluster_indices(spec, k, cluster_tol)
-    if lo != hi:
-        raise ClusteredEigenvalue(
-            f"sigma_{k} clusters with indices [{lo}, {hi}]")
-    vn_d = _as_dof_values(spec, vn)
-    h_d = _as_dof_values(spec, h)
-    f = _pair_integrand(spec, k, k, h_d)
-    return boundary_integral(spec, f, vn_d)
-
-
-def cluster_matrix(spec: SteklovSpectrum, cluster, vn, h) -> ClusterDerivativeMatrix:
-    """Directional-derivative matrix M of a cluster (an index range)."""
-    lo, hi = cluster
-    vn_d = _as_dof_values(spec, vn)
-    h_d = _as_dof_values(spec, h)
-    m = hi - lo + 1
-    mat = np.zeros((m, m))
-    for a in range(m):
-        for bb in range(a, m):
-            val = boundary_integral(
-                spec, _pair_integrand(spec, lo + a, lo + bb, h_d), vn_d)
-            mat[a, bb] = val
-            mat[bb, a] = val
-    return ClusterDerivativeMatrix(mat)
 
 
 def _edge_frames(b: BoundaryPolyline):
@@ -228,8 +91,9 @@ def _pair_weights(spec: SteklovSpectrum, a, bb, b: BoundaryPolyline, geom):
       d sigma = int (u_tau.u_tau - sigma^2 u u) V.n ds
                 - sigma int (u_a u_tau_b + u_b u_tau_a) V.tau ds
                 - sigma int u_a u_b div_tau V ds,
-    with edge frames (tau, n) constant per edge, so no curvature field is
-    needed and corner effects of the discrete parametrization are captured.
+    with edge frames (tau, n) constant per edge, so the formula is exact for
+    the polygon and captures the corner effects of the discrete
+    parametrization.
     """
     L, edge, lam0, lam1, span = geom
     tau, nrm, _ = _edge_frames(b)
@@ -295,8 +159,8 @@ def vertex_field_derivative(spec: SteklovSpectrum, k, b: BoundaryPolyline,
                             field, cluster_tol=CLUSTER_TOL) -> float:
     """Derivative of a simple sigma_k under a per-vertex velocity field.
 
-    field holds one 2D velocity per polyline vertex (BoundaryField vector
-    variant or an (n, 2) array); the boundary moves piecewise linearly.
+    field holds one 2D velocity per polyline vertex (a BoundaryField or an
+    (n, 2) array); the boundary moves piecewise linearly.
     Raises ClusteredEigenvalue when the gap test fails.
     """
     lo, hi = cluster_indices(spec, k, cluster_tol)
@@ -350,7 +214,3 @@ def graph_gradient(spec: SteklovSpectrum, k, gp: GraphPair,
     g = _gradient_rows(spec, k, b, transform, cluster_tol)
     n = gp.n
     return g[:n], g[n:]
-
-
-def gradient_to_json_dict(grad):
-    return {"gradient": np.asarray(grad).tolist()}

@@ -198,15 +198,6 @@ class TriangleMesh:
                             self.boundary_loop, self.boundary_vertex_map,
                             self.target_h * t)
 
-    def to_off(self, path):
-        with open(path, "w") as f:
-            f.write("OFF\n")
-            f.write(f"{len(self.vertices)} {len(self.triangles)} 0\n")
-            for x, y in self.vertices:
-                f.write(f"{x:.17g} {y:.17g} 0\n")
-            for a, b, c in self.triangles:
-                f.write(f"3 {a} {b} {c}\n")
-
 
 def _tri_min_angles(verts, tris):
     a = verts[tris[:, 0]]

@@ -6,17 +6,18 @@ ordering and box constraints.  A trial step whose projection, boundary,
 mesh or eigensolve fails is rejected and the step halved.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import build_constraint_set, project
 from .errors import (DegenerateBoundary, MeshFailure, NoAscent,
                      ProjectionFailure, SelfIntersection, SolverFailure)
-from .fem import assemble, build_space, solve_spectrum
+from .fem import SteklovSpectrum, assemble, build_space, solve_spectrum
 from .geometry import (BoundaryPolyline, DiameterReport, SupportVector,
                        AngleGrid, compute_diameter, reconstruct_boundary)
-from .gradients import CLUSTER_TOL, graph_gradient, support_gradient
+from .gradients import (CLUSTER_TOL, cluster_indices, graph_gradient,
+                        support_gradient)
 from .graphs import GraphPair
 from .meshing import triangulate
 
@@ -91,15 +92,24 @@ class OptimState:
     iterations: int
     converged: bool
     message: str = ""
-    iterate_log: list = field(default_factory=list)
+
+
+def solve_boundary(b: BoundaryPolyline, target_h, m) -> SteklovSpectrum:
+    """Mesh one boundary and solve its m+1 smallest P2 Steklov eigenpairs.
+
+    The only mesh -> space -> assemble -> solve pipeline.  The layer entry
+    points are looked up in this module's namespace at call time, which is
+    where perfbench/tracing.py wraps them.
+    """
+    mesh = triangulate(b, target_h)
+    space = build_space(mesh, 2)
+    K, B = assemble(space)
+    return solve_spectrum(space, K, B, m)
 
 
 def evaluate_boundary(b: BoundaryPolyline, opts: OptimOptions) -> Evaluation:
     """Mesh and solve one candidate boundary; propagate rejection errors."""
-    mesh = triangulate(b, opts.target_h)
-    space = build_space(mesh, 2)
-    K, B = assemble(space)
-    spec = solve_spectrum(space, K, B, opts.k + 2)
+    spec = solve_boundary(b, opts.target_h, opts.k + 2)
     return Evaluation(b, spec.eigenvalues, spec, compute_diameter(b))
 
 
@@ -136,19 +146,14 @@ def _stopped(history, opts):
     return (history[-1] - history[-1 - w]) / ref < opts.stop_tol
 
 
-def _log(opts, it, obj, step, active, cluster):
-    if opts.verbose:
-        print(f"{it}\t{obj:.8f}\t{step:.3e}\t{active}\t{cluster}")
-
-
 def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
                  callback=None):
     """Generic projected-gradient ascent with Armijo backtracking.
 
-    evaluate(x) -> Evaluation; gradient(ev) -> ascent direction in the
-    variables; projector(x) -> feasible point.  evaluate and projector
-    raise one of REJECTED on a candidate that cannot be used; at x0 that
-    raises NoAscent.
+    evaluate(x) -> Evaluation; gradient(x, ev) -> ascent direction in the
+    variables at x, whose evaluation is ev; projector(x) -> feasible point.
+    evaluate and projector raise one of REJECTED on a candidate that cannot
+    be used; at x0 that raises NoAscent.
     """
     try:
         x = projector(x0)
@@ -164,7 +169,7 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
     message = "max_iters reached"
     it = 0
     for it in range(1, opts.max_iters + 1):
-        g = gradient(ev)
+        g = gradient(x, ev)
         accepted = False
         while step >= STEP_MIN:
             try:
@@ -197,7 +202,10 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
             best_x, best_ev, best_obj = x, ev, obj
         if callback is not None:
             callback(it, x, ev)
-        _log(opts, it, obj, step, active_snapshot(x), _cluster_size(ev, opts))
+        if opts.verbose:
+            lo, hi = cluster_indices(ev.spectrum, opts.k, opts.cluster_tol)
+            print(f"{it}\t{obj:.8f}\t{step:.3e}\t{active_snapshot(x)}\t"
+                  f"{hi - lo + 1}")
         step = min(step / opts.backtrack, opts.step0 * STEP_GROW_CAP)
         if _stopped(history, opts):
             converged = True
@@ -233,19 +241,6 @@ def _multistart(x0, opts, evaluate, gradient, projector, active_snapshot,
     return best[0], best[1], history, iters, best[4], best[5]
 
 
-def _cluster_size(ev, opts):
-    w = ev.eigenvalues
-    k = opts.k
-    scale = max(abs(w[k]), 1e-12)
-    lo = k
-    while lo > 1 and abs(w[lo] - w[lo - 1]) < opts.cluster_tol * scale:
-        lo -= 1
-    hi = k
-    while hi + 1 < len(w) and abs(w[hi + 1] - w[hi]) < opts.cluster_tol * scale:
-        hi += 1
-    return hi - lo + 1
-
-
 def ascend(initial: SupportVector, opts: OptimOptions,
            callback=None) -> OptimState:
     """Maximize sigma_k * D over the support polyhedron.
@@ -264,7 +259,7 @@ def ascend(initial: SupportVector, opts: OptimOptions,
     def projector(p):
         return project(p, cset)
 
-    def gradient(ev):
+    def gradient(p, ev):
         return support_gradient(ev.spectrum, opts.k, ev.boundary,
                                 cluster_tol=opts.cluster_tol)
 
@@ -308,17 +303,10 @@ def ascend_nonconvex(initial: GraphPair, opts: OptimOptions,
         p, q = project_graphs(x[:n], x[n:], d, gap)
         return np.concatenate([p, q])
 
-    def gradient(ev):
-        gp_cur = ev._graphs
-        gl, gu = graph_gradient(ev.spectrum, opts.k, gp_cur,
+    def gradient(x, ev):
+        gl, gu = graph_gradient(ev.spectrum, opts.k, unpack(x),
                                 cluster_tol=opts.cluster_tol)
         return np.concatenate([gl, gu])
-
-    def evaluate(x):
-        gp = unpack(x)
-        ev = evaluate_graphs(gp, opts)
-        ev._graphs = gp
-        return ev
 
     def active_snapshot(x):
         p, q = x[:n], x[n:]
@@ -327,8 +315,8 @@ def ascend_nonconvex(initial: GraphPair, opts: OptimOptions,
                                   | (np.abs(q) >= d / 2 - 1e-12)))}
 
     best_x, best_ev, history, iters, converged, message = _multistart(
-        pack(initial), opts, evaluate, gradient, projector, active_snapshot,
-        callback)
+        pack(initial), opts, lambda x: evaluate_graphs(unpack(x), opts),
+        gradient, projector, active_snapshot, callback)
     rep = best_ev.diameter
     if rep.diameter > d * (1.0 + 1e-3):
         message += f"; diameter excess {rep.diameter - d:.3e}"

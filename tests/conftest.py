@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from steklovmax import (AngleGrid, SupportVector, assemble, build_space,
-                        reconstruct_boundary, solve_spectrum, triangulate)
+from steklovmax import AngleGrid, SupportVector
 from steklovmax.geometry import BoundaryPolyline
 from steklovmax.graphs import GraphPair
-
-
-def solve_boundary(b, target_h=0.1, m=9, order=2):
-    mesh = triangulate(b, target_h)
-    space = build_space(mesh, order)
-    K, B = assemble(space)
-    return solve_spectrum(space, K, B, m)
+from steklovmax.optimize import solve_boundary  # noqa: F401 (shared helper)
 
 
 def ellipse_boundary(n=100, a=1.0, b=0.6):
@@ -24,6 +17,15 @@ def ellipse_boundary(n=100, a=1.0, b=0.6):
 
 def disk_boundary(n=100, r=1.0):
     return ellipse_boundary(n, r, r)
+
+
+def vertex_normals(b):
+    """Outward unit normal per vertex (normalized mean of adjacent edge normals)."""
+    e = np.roll(b.vertices, -1, axis=0) - b.vertices
+    n_edge = np.column_stack([e[:, 1], -e[:, 0]])
+    n_edge /= np.linalg.norm(n_edge, axis=1)[:, None]
+    n_vert = n_edge + np.roll(n_edge, 1, axis=0)
+    return n_vert / np.linalg.norm(n_vert, axis=1)[:, None]
 
 
 def two_graph_boundary(n=60):

@@ -6,20 +6,21 @@ The k = 4..7 targets are nightly-marked (skipped by default).
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
+from scipy.spatial.distance import pdist
 
-from steklovmax import (AngleGrid, BoundaryField, OptimOptions,
-                        PerturbationSpec, SupportVector, ascend,
-                        ascend_nonconvex, assemble, build_constraint_set,
-                        build_space, compute_diameter,
+from steklovmax import (AngleGrid, OptimOptions, PerturbationSpec,
+                        SupportVector, ascend, ascend_nonconvex, assemble,
+                        build_constraint_set, build_space, compute_diameter,
                         derive_bound_constant, disk_perturbation_slope,
-                        disk_support, eigenvalue_shape_derivative,
-                        polyline_curvature, project, reconstruct_boundary,
-                        solve_spectrum, support_gradient, triangulate)
+                        disk_support, project, reconstruct_boundary,
+                        solve_spectrum, support_gradient, triangulate,
+                        vertex_field_derivative)
 from steklovmax.cli import _flat_graphs, _flat_support, main
 from steklovmax.geometry import BoundaryPolyline
-from steklovmax.gradients import vertex_normals
 import conftest
-from conftest import disk_boundary, ellipse_boundary, solve_boundary
+from conftest import (disk_boundary, ellipse_boundary, solve_boundary,
+                      vertex_normals)
 
 CONVEX_TARGETS = {1: 2.13536, 2: 4.73269, 3: 7.33378}
 NONCONVEX_TARGETS = {1: 2.13623, 2: 4.92925, 3: 7.76108}
@@ -120,13 +121,12 @@ def test_criterion_3_gradient_correctness():
     spec_e = solve_boundary(be, 0.1, 4)
     sig_e = float(spec_e.eigenvalues[1])
     nrm = vertex_normals(be)
-    h = polyline_curvature(be)
     ang = np.arctan2(be.vertices[:, 1] / 0.6, be.vertices[:, 0])
     for _ in range(10):
         c = rng.normal(size=5)
         vn = (c[0] + c[1] * np.cos(ang) + c[2] * np.sin(ang)
               + c[3] * np.cos(2 * ang) + c[4] * np.sin(2 * ang))
-        d = eigenvalue_shape_derivative(spec_e, 1, BoundaryField(vn), h)
+        d = vertex_field_derivative(spec_e, 1, be, vn[:, None] * nrm)
         moved = BoundaryPolyline(be.vertices + fd_step * vn[:, None] * nrm)
         fd = (float(solve_boundary(moved, 0.1, 4).eigenvalues[1]) - sig_e) / fd_step
         worst = max(worst, abs(d - fd) / max(abs(fd), 0.1))
@@ -234,27 +234,22 @@ def test_criterion_9_property_suites(tmp_path):
     # translation/dilation derivative identities on the ellipse
     b = ellipse_boundary()
     spec = solve_boundary(b, 0.1, 4)
-    nrm = vertex_normals(b)
-    h = polyline_curvature(b)
-    tr = abs(eigenvalue_shape_derivative(
-        spec, 1, BoundaryField(nrm @ np.array([1.0, 0.0])), h))
-    dil = eigenvalue_shape_derivative(
-        spec, 1, BoundaryField(np.einsum("ij,ij->i", b.vertices, nrm)), h)
+    tr = abs(vertex_field_derivative(
+        spec, 1, b, np.tile([1.0, 0.0], (len(b), 1))))
+    dil = vertex_field_derivative(spec, 1, b, b.vertices)
     dil_err = abs(dil + float(spec.eigenvalues[1]))
     ok &= tr < 5e-3 and dil_err < 5e-3
     details.append(f"translation {tr:.1e}, dilation {dil_err:.1e}")
-    # calipers vs brute force on 100 random convex polygons
-    from scipy.spatial import ConvexHull
-    from steklovmax.geometry import _diameter_allpairs
+    # diameter vs scipy's pdist on 100 random convex polygons
     mismatches = 0
     for _ in range(100):
         pts = rng.normal(size=(30, 2))
         hull = pts[ConvexHull(pts).vertices]
         rep = compute_diameter(BoundaryPolyline(hull))
-        if not np.isclose(rep.diameter, _diameter_allpairs(hull), atol=1e-12):
+        if not np.isclose(rep.diameter, pdist(hull).max(), atol=1e-12):
             mismatches += 1
     ok &= mismatches == 0
-    details.append(f"calipers mismatches {mismatches}/100")
+    details.append(f"diameter mismatches {mismatches}/100")
     # determinism of result.json under a fixed seed
     out = tmp_path / "det"
     args = ["--mode", "spectrum", "--seed", "11", "--n-angles", "100",

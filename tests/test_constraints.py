@@ -34,8 +34,10 @@ def test_residual_signs_on_disk(cset):
     r = cset.residuals(np.ones(N))
     conv = r[cset.tags == "convexity"]
     wid = r[cset.tags == "width"]
+    anchor = r[cset.tags == "anchor"]
     assert np.all(conv > 0)          # disk curvature radius 1 > 0
     assert np.allclose(wid, 0.0)     # constant width d
+    assert anchor.shape == (1,) and np.allclose(anchor, 0.0)  # pinned to d
 
 
 def test_project_feasible_point_identity(cset):

@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from steklovmax import (AngleGrid, BoundaryField, SupportVector,
-                        cluster_indices, cluster_matrix,
-                        eigenvalue_shape_derivative, graph_gradient,
-                        polyline_curvature, reconstruct_boundary,
+from steklovmax import (AngleGrid, SupportVector, cluster_indices,
+                        graph_gradient, reconstruct_boundary,
                         support_gradient, vertex_field_derivative)
 from steklovmax.errors import ClusteredEigenvalue
 from steklovmax.geometry import BoundaryPolyline
-from steklovmax.gradients import vertex_normals
+from steklovmax.gradients import _interval_geometry, _pair_weights
 from steklovmax.graphs import GraphPair
-from conftest import disk_boundary, ellipse_boundary, solve_boundary
+from conftest import (disk_boundary, ellipse_boundary, solve_boundary,
+                      vertex_normals)
 
 H_TARGET = 0.1
 FD_STEP = 1e-5
@@ -22,41 +21,30 @@ def sigma(b, k=1, m=4):
     return float(np.asarray(solve_boundary(b, H_TARGET, m).eigenvalues)[k])
 
 
-# ---------------------------------------------------------------- curvature
-
-def test_polyline_curvature_circle():
-    b = disk_boundary(200)
-    kappa = polyline_curvature(b).values
-    assert np.allclose(kappa, 1.0, rtol=2e-3)
-
-
-def test_vertex_normals_circle_radial():
-    b = disk_boundary(100)
-    nrm = vertex_normals(b)
-    out = b.vertices / np.linalg.norm(b.vertices, axis=1, keepdims=True)
-    assert np.allclose(nrm, out, atol=1e-3)
+def cluster_matrix(spec, cluster, b, field):
+    """Directional-derivative matrix of a cluster under a vertex field,
+    built from the same pair weights as the optimizer's gradient rows."""
+    lo, hi = cluster
+    geom = _interval_geometry(spec, b)
+    idx = range(lo, hi + 1)
+    return np.array([[np.sum(field * _pair_weights(spec, i, j, b, geom))
+                      for j in idx] for i in idx])
 
 
-# ------------------------------------------- smooth-field shape derivative
+# ------------------------------------------ vertex-field shape derivative
 
 def test_translation_derivative_zero(ellipse_case):
     b, spec = ellipse_case
-    # translation: Vn = e . n; eigenvalues are translation invariant
-    nrm = vertex_normals(b)
-    h = polyline_curvature(b)
+    # eigenvalues are translation invariant
     for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        vn = BoundaryField(nrm @ e)
-        d = eigenvalue_shape_derivative(spec, 1, vn, h)
+        d = vertex_field_derivative(spec, 1, b, np.tile(e, (len(b), 1)))
         assert abs(d) < 5e-3
 
 
 def test_dilation_derivative_homogeneity(ellipse_case):
     b, spec = ellipse_case
-    # dilation field Vn = x . n gives d sigma = -sigma (1-homogeneity)
-    nrm = vertex_normals(b)
-    vn = BoundaryField(np.einsum("ij,ij->i", b.vertices, nrm))
-    h = polyline_curvature(b)
-    d = eigenvalue_shape_derivative(spec, 1, vn, h)
+    # dilation field V = x gives d sigma = -sigma (1-homogeneity)
+    d = vertex_field_derivative(spec, 1, b, b.vertices)
     sig = float(spec.eigenvalues[1])
     assert np.isclose(d, -sig, rtol=5e-3)
 
@@ -64,15 +52,15 @@ def test_dilation_derivative_homogeneity(ellipse_case):
 def test_shape_derivative_matches_fd_random_directions(ellipse_case):
     b, spec = ellipse_case
     nrm = vertex_normals(b)
-    h = polyline_curvature(b)
     theta = np.arctan2(b.vertices[:, 1] / 0.6, b.vertices[:, 0])
     rng = np.random.default_rng(11)
     for _ in range(10):
         coef = rng.normal(size=5)
         vn_vals = (coef[0] + coef[1] * np.cos(theta) + coef[2] * np.sin(theta)
                    + coef[3] * np.cos(2 * theta) + coef[4] * np.sin(2 * theta))
-        d = eigenvalue_shape_derivative(spec, 1, BoundaryField(vn_vals), h)
-        moved = BoundaryPolyline(b.vertices + FD_STEP * vn_vals[:, None] * nrm)
+        field = vn_vals[:, None] * nrm
+        d = vertex_field_derivative(spec, 1, b, field)
+        moved = BoundaryPolyline(b.vertices + FD_STEP * field)
         fd = (sigma(moved) - float(spec.eigenvalues[1])) / FD_STEP
         assert abs(d - fd) < 3e-2 * max(abs(fd), 0.1)
 
@@ -80,9 +68,8 @@ def test_shape_derivative_matches_fd_random_directions(ellipse_case):
 def test_clustered_eigenvalue_raises_on_disk():
     b = disk_boundary(100)
     spec = solve_boundary(b, H_TARGET, 4)
-    h = polyline_curvature(b)
     with pytest.raises(ClusteredEigenvalue):
-        eigenvalue_shape_derivative(spec, 1, BoundaryField(np.ones(len(b))), h)
+        vertex_field_derivative(spec, 1, b, vertex_normals(b))
 
 
 def test_cluster_indices_disk():
@@ -92,24 +79,23 @@ def test_cluster_indices_disk():
 
 
 def test_cluster_matrix_disk_cos2():
-    # unit disk, sigma_1 pair, Vn = cos(2 angle): branch derivatives are
+    # unit disk, sigma_1 pair, V = cos(2 angle) n: branch derivatives are
     # +-3/2 (the first-order splitting of the perturbed-disk expansion)
     b = disk_boundary(200)
     spec = solve_boundary(b, H_TARGET, 4)
     ang = np.arctan2(b.vertices[:, 1], b.vertices[:, 0])
-    h = polyline_curvature(b)
-    M = cluster_matrix(spec, (1, 2), BoundaryField(np.cos(2 * ang)), h)
-    w = np.linalg.eigvalsh(M.matrix)
+    M = cluster_matrix(spec, (1, 2), b,
+                       np.cos(2 * ang)[:, None] * vertex_normals(b))
+    w = np.linalg.eigvalsh(M)
     assert np.allclose(np.sort(w), [-1.5, 1.5], atol=0.02)
 
 
 def test_cluster_matrix_dilation_trace():
-    # Vn = 1 on the unit disk: both branches move by -sigma = -1
+    # V = n on the unit disk: both branches move by -sigma = -1
     b = disk_boundary(200)
     spec = solve_boundary(b, H_TARGET, 4)
-    h = polyline_curvature(b)
-    M = cluster_matrix(spec, (1, 2), BoundaryField(np.ones(len(b))), h)
-    assert np.allclose(M.matrix, -np.eye(2), atol=0.02)
+    M = cluster_matrix(spec, (1, 2), b, vertex_normals(b))
+    assert np.allclose(M, -np.eye(2), atol=0.02)
 
 
 # ---------------------------------------------------- support-value gradient

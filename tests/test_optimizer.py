@@ -175,3 +175,26 @@ def test_rejected_restart_is_skipped(monkeypatch):
     assert len(failed) == 1 + opts.restarts
     assert len(st.objective_history) == opts.max_iters + 1
     assert _monotone(st.objective_history)
+
+
+def test_each_evaluation_calls_every_layer_once(monkeypatch):
+    # the layer entry points are looked up in steklovmax.optimize at call
+    # time, so wrappers installed there see every stage of one evaluation
+    layers = ("triangulate", "build_space", "assemble", "solve_spectrum",
+              "compute_diameter")
+    calls = {name: 0 for name in layers}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in layers:
+        monkeypatch.setattr(optimize, name,
+                            counting(name, getattr(optimize, name)))
+    opts = OptimOptions(k=1, **FAST)
+    optimize.evaluate_support(disk_support(opts).p, opts)
+    assert calls == {name: 1 for name in layers}
+    optimize.evaluate_graphs(disk_graphs(opts), opts)
+    assert calls == {name: 2 for name in layers}
