@@ -138,35 +138,24 @@ def assemble(space: FEMSpace):
 
     # boundary mass: 1D Gauss per boundary segment
     loop = mesh.boundary_loop
-    n = len(loop)
     pts = mesh.vertices[loop]
     seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    brow, bcol, bval = [], [], []
     if space.order == 1:
-        for i in range(n):
-            a_, b_ = loop[i], loop[(i + 1) % n]
-            L = seg[i]
-            m = L / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-            for ii, di in enumerate((a_, b_)):
-                for jj, dj in enumerate((a_, b_)):
-                    brow.append(di)
-                    bcol.append(dj)
-                    bval.append(m[ii, jj])
+        dofs = np.column_stack((loop, np.roll(loop, -1)))
+        mloc = (seg / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
     else:
         phis = np.stack([_p2_1d(t) for t in _G1])  # (nq, 3)
         mref = np.einsum("q,qi,qj->ij", _W1, phis, phis)
-        for i in range(n):
-            a_ = space.boundary_dofs[2 * i]
-            mid = space.boundary_dofs[2 * i + 1]
-            b_ = space.boundary_dofs[(2 * i + 2) % (2 * n)]
-            L = seg[i]
-            dofs = (a_, b_, mid)
-            for ii in range(3):
-                for jj in range(3):
-                    brow.append(dofs[ii])
-                    bcol.append(dofs[jj])
-                    bval.append(L * mref[ii, jj])
-    B = sp.coo_matrix((np.asarray(bval), (np.asarray(brow), np.asarray(bcol))),
+        # segment i: its end dofs 2i and 2i+2 (mod 2n), then its midpoint
+        ends = space.boundary_dofs[0::2]
+        dofs = np.column_stack((ends, np.roll(ends, -1),
+                                space.boundary_dofs[1::2]))
+        mloc = seg[:, None, None] * mref
+    bloc = dofs.shape[1]
+    brow = np.repeat(dofs, bloc, axis=1).ravel()
+    bcol = np.tile(dofs, (1, bloc)).ravel()
+    bval = mloc.ravel()
+    B = sp.coo_matrix((bval, (brow, bcol)),
                       shape=(space.dof_count, space.dof_count)).tocsr()
     return K, B
 

@@ -201,10 +201,12 @@ def support_gradient(spec: SteklovSpectrum, k, b: BoundaryPolyline,
 
 
 def graph_gradient(spec: SteklovSpectrum, k, gp: GraphPair,
-                   cluster_tol=CLUSTER_TOL):
+                   b: BoundaryPolyline, cluster_tol=CLUSTER_TOL):
     """Gradients of sigma_k with respect to lower-graph values p and
-    upper-graph values q (vertical vertex perturbations V = (0, chi_i))."""
-    b = gp.polyline()
+    upper-graph values q (vertical vertex perturbations V = (0, chi_i)).
+
+    b is gp.polyline(), the boundary that spec was solved on.
+    """
     lower = gp.lower_vertex_indices()
     upper = gp.upper_vertex_indices()
 

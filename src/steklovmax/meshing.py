@@ -1,10 +1,12 @@
 """Triangle meshing of simple closed polylines.
 
 Pipeline: subdivide the boundary to the target edge length, seed the
-interior with a staggered hex grid, smooth, then run a Ruppert-style
-refinement loop (circumcenter insertion with diametral-circle segment
-splitting) until the quality targets hold.  Delaunay connectivity comes
-from scipy (Qhull); constraint recovery and refinement are done here.
+interior with a staggered hex grid, triangulate the seeds once and run
+Laplacian smoothing passes over that fixed neighbour graph, then run a
+Ruppert-style refinement loop (circumcenter insertion with
+diametral-circle segment splitting) that re-triangulates once per round
+until the quality targets hold.  Delaunay connectivity comes from scipy
+(Qhull); constraint recovery and refinement are done here.
 """
 
 from dataclasses import dataclass
@@ -62,23 +64,45 @@ def _segments_cross(a, b, c, d):
     return False
 
 
+def _orient_rows(a, b, c):
+    """_orient over rows of a, b, c: +-1 where the float determinant
+    decides the sign, nan where _orient takes its exact fallback."""
+    acx = a[:, 0] - c[:, 0]
+    bcx = b[:, 0] - c[:, 0]
+    acy = a[:, 1] - c[:, 1]
+    bcy = b[:, 1] - c[:, 1]
+    det = acx * bcy - acy * bcx
+    err = 3.3e-16 * (np.abs(acx * bcy) + np.abs(acy * bcx))
+    return np.where(np.abs(det) > err, np.sign(det), np.nan)
+
+
 def check_simple(b: BoundaryPolyline):
-    """Raise SelfIntersection if any two non-adjacent edges intersect."""
+    """Raise SelfIntersection if any two non-adjacent edges intersect.
+
+    The pair named is the first crossing pair (i, j), i < j, in
+    lexicographic order.  Pairs whose bounding boxes overlap are tested
+    by float orientations; a pair with any orientation near zero goes
+    through the exact _segments_cross.
+    """
     v = b.vertices
     n = len(v)
-    starts = v
     ends = np.roll(v, -1, axis=0)
-    lo = np.minimum(starts, ends)
-    hi = np.maximum(starts, ends)
-    for i in range(n):
-        # bounding-box prefilter against all later, non-adjacent edges
-        js = np.arange(i + 2, n if i > 0 else n - 1)
-        if js.size == 0:
-            continue
-        mask = np.all((lo[js] <= hi[i]) & (hi[js] >= lo[i]), axis=1)
-        for j in js[mask]:
-            if _segments_cross(starts[i], ends[i], starts[j], ends[j]):
-                raise SelfIntersection(i, int(j))
+    lo = np.minimum(v, ends)
+    hi = np.maximum(v, ends)
+    i, j = np.triu_indices(n, 2)
+    near = ~((i == 0) & (j == n - 1))
+    near &= np.all((lo[j] <= hi[i]) & (hi[j] >= lo[i]), axis=1)
+    i, j = i[near], j[near]
+    d1 = _orient_rows(v[j], ends[j], v[i])
+    d2 = _orient_rows(v[j], ends[j], ends[i])
+    d3 = _orient_rows(v[i], ends[i], v[j])
+    d4 = _orient_rows(v[i], ends[i], ends[j])
+    cross = (d1 != d2) & (d3 != d4)
+    for p in np.nonzero(np.isnan(d1 + d2 + d3 + d4))[0]:
+        cross[p] = _segments_cross(v[i[p]], ends[i[p]], v[j[p]], ends[j[p]])
+    if cross.any():
+        p = int(np.argmax(cross))
+        raise SelfIntersection(int(i[p]), int(j[p]))
 
 
 def points_in_polygon(points, poly):
@@ -104,16 +128,16 @@ def points_in_polygon(points, poly):
     return np.bincount(i[x[i] < xc], minlength=len(pts)) % 2 == 1
 
 
-def clear_of_polyline(points, poly, r):
-    """True where a point is at least r from the closed polyline.
+def clearance_test(poly, r):
+    """Predicate: True where a point is at least r from the closed polyline.
 
-    Every edge is sampled at spacing s <= r into a cKDTree.  A point at
+    Every edge is sampled at spacing s <= r into a cKDTree, built once
+    here and shared by every call of the returned predicate.  A point at
     distance < r from an edge lies within r + s/2 of one of that edge's
     samples, so points with no sample that close pass outright; for the
     rest the exact point-segment distance is taken to each edge owning a
     sample within that reach (1e-9 relative margin against rounding).
     """
-    pts = np.atleast_2d(points)
     a = poly
     ab = np.roll(poly, -1, axis=0) - a
     ab2 = np.maximum(np.sum(ab**2, axis=1), 1e-300)
@@ -122,17 +146,28 @@ def clear_of_polyline(points, poly, r):
     # samples a + ab * j / parts for j = 0..parts on each edge
     edge = np.repeat(np.arange(len(a)), parts + 1)
     frac = _ranges(np.zeros_like(parts), parts + 1) / parts[edge]
-    samples = a[edge] + frac[:, None] * ab[edge]
+    samples = cKDTree(a[edge] + frac[:, None] * ab[edge])
     reach = (r + 0.5 * np.max(length / parts)) * (1.0 + 1e-9)
-    pairs = cKDTree(pts).sparse_distance_matrix(
-        cKDTree(samples), reach, output_type="ndarray")
-    i, k = pairs["i"], edge[pairs["j"]]
-    ap = pts[i] - a[k]
-    t = np.clip((ap[:, 0] * ab[k, 0] + ap[:, 1] * ab[k, 1]) / ab2[k], 0.0, 1.0)
-    proj = a[k] + t[:, None] * ab[k]
-    ok = np.ones(len(pts), dtype=bool)
-    ok[i[np.linalg.norm(pts[i] - proj, axis=1) < r]] = False
-    return ok
+
+    def clear(points):
+        pts = np.atleast_2d(points)
+        pairs = cKDTree(pts).sparse_distance_matrix(
+            samples, reach, output_type="ndarray")
+        i, k = pairs["i"], edge[pairs["j"]]
+        ap = pts[i] - a[k]
+        t = np.clip((ap[:, 0] * ab[k, 0] + ap[:, 1] * ab[k, 1]) / ab2[k],
+                    0.0, 1.0)
+        proj = a[k] + t[:, None] * ab[k]
+        ok = np.ones(len(pts), dtype=bool)
+        ok[i[np.linalg.norm(pts[i] - proj, axis=1) < r]] = False
+        return ok
+    return clear
+
+
+def clear_of_polyline(points, poly, r):
+    """True where a point is at least r from the closed polyline (a
+    one-shot clearance_test)."""
+    return clearance_test(poly, r)(points)
 
 
 def _ranges(start, count):
@@ -176,15 +211,12 @@ class TriangleMesh:
         return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
 
     def min_angle_deg(self):
-        return float(np.degrees(_tri_min_angles(self.vertices, self.triangles).min()))
+        angles, _, _ = _triangle_quality(self.vertices, self.triangles)
+        return float(np.degrees(angles.min()))
 
     def max_edge_length(self):
-        v = self.vertices
-        t = self.triangles
-        l01 = np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1)
-        l12 = np.linalg.norm(v[t[:, 2]] - v[t[:, 1]], axis=1)
-        l20 = np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1)
-        return float(np.max(np.maximum(l01, np.maximum(l12, l20))))
+        _, emax, _ = _triangle_quality(self.vertices, self.triangles)
+        return float(np.max(emax))
 
     def boundary_arclengths(self):
         """Cumulative arclength at each boundary_loop node (starting at 0)."""
@@ -199,7 +231,9 @@ class TriangleMesh:
                             self.target_h * t)
 
 
-def _tri_min_angles(verts, tris):
+def _triangle_quality(verts, tris):
+    """Smallest angle (radians), longest and shortest edge of each
+    triangle, from one set of edge lengths."""
     a = verts[tris[:, 0]]
     b = verts[tris[:, 1]]
     c = verts[tris[:, 2]]
@@ -210,7 +244,8 @@ def _tri_min_angles(verts, tris):
     for i, (opp, s1, s2) in enumerate(((la, lb, lc), (lb, lc, la), (lc, la, lb))):
         cosv = np.clip((s1**2 + s2**2 - opp**2) / (2 * s1 * s2), -1.0, 1.0)
         angs[:, i] = np.arccos(cosv)
-    return angs.min(axis=1)
+    return (angs.min(axis=1), np.maximum(lc, np.maximum(la, lb)),
+            np.minimum(lc, np.minimum(la, lb)))
 
 
 def _circumcenters(verts, tris):
@@ -255,23 +290,22 @@ def _subdivide_chain(verts, target_h):
     Returns (points, owner) where owner[j] is the polyline edge index the
     j-th boundary node lies on (-1 for original vertices).
     """
-    n = len(verts)
-    pts = []
-    owner = []
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        pts.append(a)
-        owner.append(-1)
-        length = np.linalg.norm(b - a)
-        k = int(np.ceil(length / target_h))
-        for j in range(1, k):
-            pts.append(a + (b - a) * (j / k))
-            owner.append(i)
-    return np.asarray(pts), np.asarray(owner)
+    ab = np.roll(verts, -1, axis=0) - verts
+    k = np.ceil(np.linalg.norm(ab, axis=1) / target_h).astype(int)
+    # nodes a + (b - a) * (j / k) for j = 0..k-1 on each edge (a, b);
+    # j = 0 is the vertex a itself
+    k = np.maximum(k, 1)
+    edge = np.repeat(np.arange(len(verts)), k)
+    j = _ranges(np.zeros_like(k), k)
+    pts = verts[edge] + ab[edge] * (j / k[edge])[:, None]
+    first = j == 0
+    pts[first] = verts
+    return pts, np.where(first, -1, edge)
 
 
-def _hex_seeds(poly, spacing, clearance):
+def _hex_seeds(poly, spacing, clear):
+    """Staggered hex grid at the given spacing, kept where inside poly
+    and where the clearance predicate clear holds."""
     lo = poly.min(axis=0)
     hi = poly.max(axis=0)
     dy = spacing * np.sqrt(3.0) / 2.0
@@ -285,7 +319,7 @@ def _hex_seeds(poly, spacing, clearance):
         return np.empty((0, 2))
     pts = np.vstack(pts)
     pts = pts[points_in_polygon(pts, poly)]
-    return pts[clear_of_polyline(pts, poly, clearance)]
+    return pts[clear(pts)]
 
 
 def _split_segments(bnd, owner, split):
@@ -333,7 +367,7 @@ def triangulate(b: BoundaryPolyline, target_h: float,
     bnd, owner = _subdivide_chain(poly, target_h)
     nb0 = len(poly)
     spacing = 0.68 * target_h
-    interior = _hex_seeds(poly, spacing, 0.6 * spacing)
+    interior = _hex_seeds(poly, spacing, clearance_test(poly, 0.6 * spacing))
 
     # protect very short boundary segments from further splitting
     min_split = 2.0 * merge_tol
@@ -360,26 +394,29 @@ def triangulate(b: BoundaryPolyline, target_h: float,
         keep[flip] = keep[flip][:, [0, 2, 1]]
         return pts, keep
 
-    # smoothing phase: relax interior points toward neighbor centroids
-    for _ in range(8):
-        if len(interior) == 0:
-            break
-        pts, keep = delaunay_inside(bnd, interior)
+    # smoothing phase: Laplacian smoothing over the neighbour graph of one
+    # triangulation of the seeds; each pass moves an interior point to the
+    # mean of its neighbours (counted once per triangle sharing the edge)
+    # unless that leaves the polygon or comes within 0.5 * spacing of its
+    # boundary
+    if len(interior):
+        _, keep = delaunay_inside(bnd, interior)
         nb = len(bnd)
-        sums = np.zeros((len(pts), 2))
-        cnts = np.zeros(len(pts))
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                np.add.at(sums, keep[:, i], pts[keep[:, j]])
-                np.add.at(cnts, keep[:, i], 1.0)
-        movable = cnts[nb:] > 0
-        new = interior.copy()
-        new[movable] = sums[nb:][movable] / cnts[nb:][movable][:, None]
-        ok = points_in_polygon(new, poly)
-        ok &= clear_of_polyline(new, poly, 0.5 * spacing)
-        interior[ok] = new[ok]
+        # the six directed edges (src -> dst) of every triangle
+        src = keep[:, [0, 0, 1, 1, 2, 2]].ravel()
+        dst = keep[:, [1, 2, 0, 2, 0, 1]].ravel()
+        cnts = np.bincount(src, minlength=nb + len(interior))[nb:]
+        movable = cnts > 0
+        clear = clearance_test(poly, 0.5 * spacing)
+        for _ in range(8):
+            pts = np.vstack([bnd, interior])
+            mean = np.column_stack([
+                np.bincount(src, weights=pts[dst, c], minlength=len(pts))[nb:]
+                for c in (0, 1)])
+            new = interior.copy()
+            new[movable] = mean[movable] / cnts[movable, None]
+            ok = points_in_polygon(new, poly) & clear(new)
+            interior[ok] = new[ok]
 
     for _ in range(60):
         if len(bnd) + len(interior) > vertex_budget:
@@ -395,16 +432,7 @@ def triangulate(b: BoundaryPolyline, target_h: float,
             continue
 
         # quality pass
-        angles = _tri_min_angles(pts, keep)
-        v = pts
-        emax = np.maximum(
-            np.linalg.norm(v[keep[:, 1]] - v[keep[:, 0]], axis=1),
-            np.maximum(np.linalg.norm(v[keep[:, 2]] - v[keep[:, 1]], axis=1),
-                       np.linalg.norm(v[keep[:, 0]] - v[keep[:, 2]], axis=1)))
-        emin = np.minimum(
-            np.linalg.norm(v[keep[:, 1]] - v[keep[:, 0]], axis=1),
-            np.minimum(np.linalg.norm(v[keep[:, 2]] - v[keep[:, 1]], axis=1),
-                       np.linalg.norm(v[keep[:, 0]] - v[keep[:, 2]], axis=1)))
+        angles, emax, emin = _triangle_quality(pts, keep)
         bad = (angles < min_angle) | (emax > target_h)
         # skip triangles whose smallest feature is already at merge scale
         bad &= emin > min_split

@@ -304,7 +304,7 @@ def ascend_nonconvex(initial: GraphPair, opts: OptimOptions,
         return np.concatenate([p, q])
 
     def gradient(x, ev):
-        gl, gu = graph_gradient(ev.spectrum, opts.k, unpack(x),
+        gl, gu = graph_gradient(ev.spectrum, opts.k, unpack(x), ev.boundary,
                                 cluster_tol=opts.cluster_tol)
         return np.concatenate([gl, gu])
 

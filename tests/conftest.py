@@ -28,6 +28,14 @@ def vertex_normals(b):
     return n_vert / np.linalg.norm(n_vert, axis=1)[:, None]
 
 
+def wavy_boundary(n=120):
+    """Non-convex star-shaped domain r = 1 + 0.15 cos 5 theta."""
+    theta = 2 * np.pi * np.arange(n) / n
+    r = 1.0 + 0.15 * np.cos(5 * theta)
+    return BoundaryPolyline(np.column_stack([r * np.cos(theta),
+                                             r * np.sin(theta)]))
+
+
 def two_graph_boundary(n=60):
     """Non-convex: both graphs wiggle, the lower one crosses above y = 0."""
     x = np.linspace(-1.0, 1.0, n + 2)[1:-1]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, splu
 
@@ -10,7 +11,8 @@ from steklovmax import (assemble, build_space, harmonic_extension,
                         rayleigh_quotient, solve_spectrum, triangulate)
 from steklovmax.errors import SolverFailure
 from steklovmax.geometry import BoundaryPolyline
-from conftest import disk_boundary, ellipse_boundary, two_graph_boundary
+from conftest import (disk_boundary, ellipse_boundary, two_graph_boundary,
+                      wavy_boundary)
 
 
 def test_disk_spectrum_benchmark(disk_spec):
@@ -171,6 +173,51 @@ def test_p2_numbering_matches_oracle(b, h):
     assert np.array_equal(space.dof_coords, dof_coords)
     assert np.array_equal(space.boundary_dofs, bdofs)
     assert np.array_equal(space.boundary_arc, barc)
+
+
+def boundary_mass_oracle(space):
+    """Segment-by-segment loop appending the boundary mass triples."""
+    loop = space.mesh.boundary_loop
+    n = len(loop)
+    pts = space.mesh.vertices[loop]
+    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    brow, bcol, bval = [], [], []
+    if space.order == 1:
+        for i in range(n):
+            a_, b_ = loop[i], loop[(i + 1) % n]
+            m = seg[i] / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+            for ii, di in enumerate((a_, b_)):
+                for jj, dj in enumerate((a_, b_)):
+                    brow.append(di)
+                    bcol.append(dj)
+                    bval.append(m[ii, jj])
+    else:
+        phis = np.stack([fem._p2_1d(t) for t in fem._G1])
+        mref = np.einsum("q,qi,qj->ij", fem._W1, phis, phis)
+        for i in range(n):
+            dofs = (space.boundary_dofs[2 * i],
+                    space.boundary_dofs[(2 * i + 2) % (2 * n)],
+                    space.boundary_dofs[2 * i + 1])
+            for ii in range(3):
+                for jj in range(3):
+                    brow.append(dofs[ii])
+                    bcol.append(dofs[jj])
+                    bval.append(seg[i] * mref[ii, jj])
+    return np.asarray(brow), np.asarray(bcol), np.asarray(bval)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("b", [ellipse_boundary(100), wavy_boundary(),
+                               two_graph_boundary()],
+                         ids=["ellipse", "wavy", "two-graph"])
+def test_boundary_mass_matches_oracle(b, order):
+    space = build_space(triangulate(b, 0.1), order)
+    _, B = assemble(space)
+    rows, cols, vals = boundary_mass_oracle(space)
+    ref = sp.coo_matrix((vals, (rows, cols)), shape=B.shape).tocsr()
+    assert np.array_equal(B.indptr, ref.indptr)
+    assert np.array_equal(B.indices, ref.indices)
+    assert B.data.tobytes() == ref.data.tobytes()
 
 
 def schur_oracle(space, K, B):

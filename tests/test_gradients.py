@@ -176,7 +176,7 @@ def test_graph_gradient_matches_fd():
     gp = lens_graphs()
     b = gp.polyline()
     spec = solve_boundary(b, H_TARGET, 4)
-    gl, gu = graph_gradient(spec, 1, gp)
+    gl, gu = graph_gradient(spec, 1, gp, b)
     sig = float(spec.eigenvalues[1])
     rng = np.random.default_rng(13)
     for i in rng.choice(gp.n, size=5, replace=False):
@@ -201,10 +201,11 @@ def test_graph_vertical_translation_invariance():
     field = np.tile([0.0, 1.0], (len(b), 1))
     d_full = vertex_field_derivative(spec, 1, b, field)
     assert abs(d_full) < 2e-3
-    gl, gu = graph_gradient(spec, 1, gp)
+    gl, gu = graph_gradient(spec, 1, gp, b)
     # up-down symmetric lens: the endpoint contributions cancel by symmetry
     gp_sym = GraphPair(-gp.q, gp.q, gp.d)
-    spec_sym = solve_boundary(gp_sym.polyline(), H_TARGET, 4)
-    gls, gus = graph_gradient(spec_sym, 1, gp_sym)
+    b_sym = gp_sym.polyline()
+    spec_sym = solve_boundary(b_sym, H_TARGET, 4)
+    gls, gus = graph_gradient(spec_sym, 1, gp_sym, b_sym)
     scale = max(np.abs(gls).max(), np.abs(gus).max())
     assert abs(gls.sum() + gus.sum()) < 2e-2 * scale

@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from steklovmax import AngleGrid, SupportVector, reconstruct_boundary, triangulate
+import steklovmax.meshing as meshing
+from steklovmax import (AngleGrid, OptimOptions, SupportVector,
+                        reconstruct_boundary, triangulate)
+from steklovmax.cli import _flat_graphs, _flat_support
 from steklovmax.errors import SelfIntersection
 from steklovmax.geometry import BoundaryPolyline
 from steklovmax.graphs import GraphPair
-from steklovmax.meshing import (_boundary_is_chain, check_simple,
-                                clear_of_polyline, points_in_polygon)
-from conftest import two_graph_boundary
+from steklovmax.meshing import (_boundary_is_chain, _segments_cross,
+                                _subdivide_chain, _triangle_quality,
+                                check_simple, clear_of_polyline,
+                                points_in_polygon)
+from conftest import two_graph_boundary, wavy_boundary
 
 
 def ellipse(n=100, a=1.0, b=0.6):
@@ -18,18 +23,11 @@ def ellipse(n=100, a=1.0, b=0.6):
                                              b * np.sin(theta)]))
 
 
-def wavy(n=120):
-    theta = 2 * np.pi * np.arange(n) / n
-    r = 1.0 + 0.15 * np.cos(5 * theta)
-    return BoundaryPolyline(np.column_stack([r * np.cos(theta),
-                                             r * np.sin(theta)]))
-
-
 CASES = [
     ("disk", ellipse(100, 1.0, 1.0), 0.1),
     ("ellipse", ellipse(100), 0.1),
     ("ellipse-fine", ellipse(200), 0.05),
-    ("wavy", wavy(), 0.1),
+    ("wavy", wavy_boundary(), 0.1),
     ("square", BoundaryPolyline(np.array([[0, 0], [2, 0], [2, 2], [0, 2]],
                                          float)), 0.15),
 ]
@@ -143,7 +141,7 @@ def distance_oracle(points, poly):
     return best
 
 
-POLYGONS = [("ellipse", ellipse(100)), ("wavy", wavy()),
+POLYGONS = [("ellipse", ellipse(100)), ("wavy", wavy_boundary()),
             ("two-graph", two_graph_boundary()),
             ("square", BoundaryPolyline(np.array(
                 [[0, 0], [2, 0], [2, 2], [0, 2]], float)))]
@@ -190,3 +188,127 @@ def test_boundary_check_rejects_missing_chain_edge():
     holds = np.isin(tris, [0, 1]).sum(axis=1) == 2
     assert holds.sum() == 1
     assert not _boundary_is_chain(tris[~holds], nb, n)
+
+
+def test_delaunay_calls_per_mesh(monkeypatch):
+    # one triangulation for all smoothing passes, then one per refinement
+    # round: 4 calls on both flat starts (11 when every pass re-triangulated)
+    calls = []
+    delaunay = meshing.Delaunay
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return delaunay(*args, **kwargs)
+    monkeypatch.setattr(meshing, "Delaunay", counted)
+    starts = [reconstruct_boundary(_flat_support(OptimOptions(k=2, n_angles=100))),
+              _flat_graphs(OptimOptions(k=1, n_angles=100)).polyline()]
+    for b in starts:
+        del calls[:]
+        mesh = triangulate(b, 0.1)
+        assert len(calls) <= 5
+        assert mesh.min_angle_deg() >= 20.0 - 1e-9
+
+
+# Loop versions of the array code in meshing, kept as oracles.
+def check_simple_oracle(b):
+    """First crossing pair (i, j) found by the per-edge loop, or None."""
+    v = b.vertices
+    n = len(v)
+    ends = np.roll(v, -1, axis=0)
+    lo = np.minimum(v, ends)
+    hi = np.maximum(v, ends)
+    for i in range(n):
+        js = np.arange(i + 2, n if i > 0 else n - 1)
+        if js.size == 0:
+            continue
+        mask = np.all((lo[js] <= hi[i]) & (hi[js] >= lo[i]), axis=1)
+        for j in js[mask]:
+            if _segments_cross(v[i], ends[i], v[j], ends[j]):
+                return i, int(j)
+    return None
+
+
+def subdivide_oracle(verts, target_h):
+    n = len(verts)
+    pts = []
+    owner = []
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        pts.append(a)
+        owner.append(-1)
+        length = np.linalg.norm(b - a)
+        k = int(np.ceil(length / target_h))
+        for j in range(1, k):
+            pts.append(a + (b - a) * (j / k))
+            owner.append(i)
+    return np.asarray(pts), np.asarray(owner)
+
+
+def quality_oracle(v, keep):
+    """Minimum angle, longest and shortest edge, each edge length taken
+    once for the angles and once more for each extreme."""
+    a, b, c = v[keep[:, 0]], v[keep[:, 1]], v[keep[:, 2]]
+    la = np.linalg.norm(b - c, axis=1)
+    lb = np.linalg.norm(c - a, axis=1)
+    lc = np.linalg.norm(a - b, axis=1)
+    angs = np.empty((len(keep), 3))
+    for i, (opp, s1, s2) in enumerate(((la, lb, lc), (lb, lc, la),
+                                       (lc, la, lb))):
+        cosv = np.clip((s1**2 + s2**2 - opp**2) / (2 * s1 * s2), -1.0, 1.0)
+        angs[:, i] = np.arccos(cosv)
+    emax = np.maximum(
+        np.linalg.norm(v[keep[:, 1]] - v[keep[:, 0]], axis=1),
+        np.maximum(np.linalg.norm(v[keep[:, 2]] - v[keep[:, 1]], axis=1),
+                   np.linalg.norm(v[keep[:, 0]] - v[keep[:, 2]], axis=1)))
+    emin = np.minimum(
+        np.linalg.norm(v[keep[:, 1]] - v[keep[:, 0]], axis=1),
+        np.minimum(np.linalg.norm(v[keep[:, 2]] - v[keep[:, 1]], axis=1),
+                   np.linalg.norm(v[keep[:, 0]] - v[keep[:, 2]], axis=1)))
+    return angs.min(axis=1), emax, emin
+
+
+def first_crossing(b):
+    try:
+        check_simple(b)
+    except SelfIntersection as exc:
+        return exc.edge_i, exc.edge_j
+    return None
+
+
+BOW_TIE = BoundaryPolyline(np.array([[0, 0], [1, 1], [1, 0], [0, 1]], float))
+SHAPES = [("ellipse", ellipse(100)), ("wavy", wavy_boundary()),
+          ("two-graph", two_graph_boundary()), ("bow-tie", BOW_TIE)]
+# vertex 3 lies exactly on edge 0 (the exact orientation fallback decides),
+# and a wavy loop with two pairs of vertices swapped (several crossings)
+TOUCHING = BoundaryPolyline(np.array([[0, 0], [2, 0], [2, 2], [1, 0],
+                                      [0, 2]], float))
+TANGLED = BoundaryPolyline(wavy_boundary().vertices[
+    np.r_[0:30, 70, 31:70, 30, 71:90, 100, 91:100, 90, 101:120]])
+
+
+@pytest.mark.parametrize(
+    "name,b", SHAPES + [("touching", TOUCHING), ("tangled", TANGLED)],
+    ids=[c[0] for c in SHAPES] + ["touching", "tangled"])
+def test_check_simple_matches_oracle(name, b):
+    pair = first_crossing(b)
+    assert pair == check_simple_oracle(b)
+    assert (pair is None) == (name in ("ellipse", "wavy", "two-graph"))
+
+
+@pytest.mark.parametrize("name,b", SHAPES, ids=[c[0] for c in SHAPES])
+def test_subdivide_chain_matches_oracle(name, b):
+    for h in (0.02, 0.1, 0.35):
+        pts, owner = _subdivide_chain(b.vertices, h)
+        ref_pts, ref_owner = subdivide_oracle(b.vertices, h)
+        assert np.array_equal(pts, ref_pts)
+        assert pts.tobytes() == ref_pts.tobytes()
+        assert np.array_equal(owner, ref_owner)
+
+
+@pytest.mark.parametrize("name,b", SHAPES[:3], ids=[c[0] for c in SHAPES[:3]])
+def test_triangle_quality_matches_oracle(name, b):
+    mesh = triangulate(b, 0.1)
+    got = _triangle_quality(mesh.vertices, mesh.triangles)
+    for x, ref in zip(got, quality_oracle(mesh.vertices, mesh.triangles)):
+        assert np.array_equal(x, ref)
