@@ -1,8 +1,10 @@
 """Maximization of Steklov eigenvalues of planar domains at fixed diameter.
 
 Pipeline: support-function (or two-graph) parametrization -> boundary
-reconstruction -> quality triangulation -> P2 finite-element Steklov
-eigensolver -> shape-derivative gradients -> projected gradient ascent.
+reconstruction -> mesh-free harmonic-polynomial Steklov eigensolver ->
+shape-derivative gradients -> projected gradient ascent.  The quality
+mesher and the P2 finite-element solver are the reference the solver is
+tested against.
 """
 
 from .constraints import LinearConstraintSet, build_constraint_set, project
@@ -26,5 +28,6 @@ from .graphs import GraphPair
 from .meshing import TriangleMesh, triangulate
 from .optimize import (OptimOptions, OptimState, ascend, ascend_nonconvex,
                        disk_graphs, disk_support)
+from .trefftz import HarmonicSpectrum, solve_harmonic
 
 __version__ = "0.1.0"

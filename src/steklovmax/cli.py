@@ -33,7 +33,11 @@ MODES = ("optimize-convex", "optimize-nonconvex", "spectrum",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs of one CLI invocation."""
+    """Validated inputs of one CLI invocation.
+
+    mesh_h_factor is validated and recorded in result.json but no mode
+    uses it: every solve is mesh-free.
+    """
 
     mode: str = "optimize-convex"
     k: int = 1
@@ -239,10 +243,15 @@ def _diameter_payload(rep):
             "pairs": [[int(i), int(j)] for i, j in rep.pairs]}
 
 
+def _best_objective(state):
+    """sigma_k * D of the best iterate, the shape the run reports."""
+    return max(state.objective_history)
+
+
 def _result_payload(cfg, state, variables_key, variables_value):
     return {
         "config": asdict(cfg),
-        "objective": state.objective_history[-1],
+        "objective": _best_objective(state),
         "eigenvalues": [float(x) for x in state.eigenvalues],
         "diameter": state.diameter.diameter,
         "diameter_pairs": _diameter_payload(state.diameter)["pairs"],
@@ -260,8 +269,8 @@ def _emit_shape(out, b: BoundaryPolyline):
     b.to_svg(os.path.join(out, "shape.svg"))
 
 
-def _emit_spectrum(out, cfg, b: BoundaryPolyline, m=9):
-    spec = solve_boundary(b, cfg.mesh_h_factor * cfg.diameter, m)
+def _emit_spectrum(out, b: BoundaryPolyline, m=9):
+    spec = solve_boundary(b, m)
     spectrum_to_csv(spec, os.path.join(out, "spectrum.csv"))
     return spec
 
@@ -278,7 +287,7 @@ def _run_optimize(cfg, out):
         var_val = {"p": [float(x) for x in state.variables.p],
                    "q": [float(x) for x in state.variables.q]}
     _emit_shape(out, state.boundary)
-    spec = _emit_spectrum(out, cfg, state.boundary, max(cfg.k + 3, 9))
+    spec = _emit_spectrum(out, state.boundary, max(cfg.k + 3, 9))
     _write_history(os.path.join(out, "history.csv"),
                    state.objective_history)
     payload = _result_payload(cfg, state, var_key, var_val)
@@ -293,7 +302,7 @@ def _run_spectrum(cfg, out):
         b = reconstruct_boundary(disk_support(opts))
     else:
         b = BoundaryPolyline.from_csv(cfg.initial[len("file:"):])
-    spec = _emit_spectrum(out, cfg, b, max(cfg.k + 3, 9))
+    spec = _emit_spectrum(out, b, max(cfg.k + 3, 9))
     _emit_shape(out, b)
     rep = compute_diameter(b)
     return {
@@ -309,7 +318,7 @@ def _run_spectrum(cfg, out):
 def _run_benchmark_disk(cfg, out):
     opts = _optim_options(cfg)
     b = reconstruct_boundary(disk_support(opts))
-    spec = _emit_spectrum(out, cfg, b, 9)
+    spec = _emit_spectrum(out, b, 9)
     _emit_shape(out, b)
     analytic = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4], dtype=float)
     measured = np.asarray(spec.eigenvalues[:9]) * (cfg.diameter / 2.0)
@@ -329,15 +338,13 @@ def _run_experiment(cfg, out):
     name = cfg.mode.split(":", 1)[1]
     if name == "slope":
         ps = PerturbationSpec(1.0, 1.0, (0.005, 0.01, 0.02))
-        rep = slope_report(ps, n_angles=cfg.n_angles,
-                           mesh_h_factor=cfg.mesh_h_factor)
+        rep = slope_report(ps, n_angles=cfg.n_angles)
     elif name == "bound":
         opts = _optim_options(cfg)
         triples = []
         for sv in (disk_support(opts), _flat_support(opts)):
             b = reconstruct_boundary(sv)
-            triples.append((b, solve_boundary(b, opts.target_h, cfg.k + 2),
-                            cfg.k))
+            triples.append((b, solve_boundary(b, cfg.k + 2), cfg.k))
         rep = bound_report(triples)
     else:
         opts = _optim_options(cfg)
@@ -345,7 +352,7 @@ def _run_experiment(cfg, out):
                    else _flat_support(opts))
         state = ascend(initial, opts)
         rep = multiplicity_report(state, cfg.k)
-        rep["objective"] = state.objective_history[-1]
+        rep["objective"] = _best_objective(state)
         _emit_shape(out, state.boundary)
     rep = dict(rep)
     rep["config"] = asdict(cfg)

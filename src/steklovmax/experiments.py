@@ -122,14 +122,13 @@ def perturbed_disk_boundary(eps, pspec: PerturbationSpec, n_angles=200,
     return BoundaryPolyline(pts)
 
 
-def _objective_at(eps, pspec, n_angles, target_h, scale=1.0):
+def _objective_at(eps, pspec, n_angles, scale=1.0):
     b = perturbed_disk_boundary(eps, pspec, n_angles, scale)
-    spec = solve_boundary(b, target_h, 3)
+    spec = solve_boundary(b, 3)
     return float(spec.eigenvalues[1]) * compute_diameter(b).diameter
 
 
-def disk_perturbation_slope(pspec: PerturbationSpec, n_angles=200,
-                            mesh_h_factor=0.05):
+def disk_perturbation_slope(pspec: PerturbationSpec, n_angles=200):
     """Measured vs predicted slope of eps -> D(B_eps) sigma_1(B_eps).
 
     The measured values (epsilon 0 included) are fitted with a quadratic in
@@ -137,10 +136,8 @@ def disk_perturbation_slope(pspec: PerturbationSpec, n_angles=200,
     remainder is quadratic with a large constant and would pollute a raw
     straight-line fit over finite epsilons.
     """
-    target_h = mesh_h_factor * 2.0
     eps_all = np.concatenate([[0.0], np.asarray(pspec.epsilons)])
-    values = np.array([_objective_at(e, pspec, n_angles, target_h)
-                       for e in eps_all])
+    values = np.array([_objective_at(e, pspec, n_angles) for e in eps_all])
     deg = 2 if len(eps_all) >= 3 else 1
     design = np.vander(eps_all, deg + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
@@ -148,11 +145,9 @@ def disk_perturbation_slope(pspec: PerturbationSpec, n_angles=200,
     return measured, float(pspec.predicted_slope())
 
 
-def slope_report(pspec: PerturbationSpec, n_angles=200, mesh_h_factor=0.05,
-                 rel_tol=0.10):
+def slope_report(pspec: PerturbationSpec, n_angles=200, rel_tol=0.10):
     """JSON-ready report of the perturbed-disk slope experiment."""
-    measured, predicted = disk_perturbation_slope(pspec, n_angles,
-                                                  mesh_h_factor)
+    measured, predicted = disk_perturbation_slope(pspec, n_angles)
     if predicted != 0.0:
         ok = abs(measured - predicted) <= rel_tol * abs(predicted)
     else:
@@ -170,17 +165,15 @@ def slope_report(pspec: PerturbationSpec, n_angles=200, mesh_h_factor=0.05,
     }
 
 
-def scale_invariance_error(pspec: PerturbationSpec, eps, t=3.0, n_angles=200,
-                           mesh_h_factor=0.05):
-    """|sigma_1 D (scaled by t) - sigma_1 D (unscaled)| on identical meshes.
+def scale_invariance_error(pspec: PerturbationSpec, eps, t=3.0, n_angles=200):
+    """|sigma_1 D (scaled by t) - sigma_1 D (unscaled)|.
 
-    The product sigma_1 D is scale invariant; the mesh of the scaled run is
-    the scaled mesh (target_h scales with the geometry), so the discrete
-    values agree to rounding.
+    The product sigma_1 D is scale invariant, and the solver's basis and
+    quadrature scale with the polygon, so the discrete values agree to
+    rounding.
     """
-    h = mesh_h_factor * 2.0
-    v1 = _objective_at(eps, pspec, n_angles, h, scale=1.0)
-    v2 = _objective_at(eps, pspec, n_angles, h * t, scale=t)
+    v1 = _objective_at(eps, pspec, n_angles, scale=1.0)
+    v2 = _objective_at(eps, pspec, n_angles, scale=t)
     return abs(v2 - v1)
 
 

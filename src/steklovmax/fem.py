@@ -4,7 +4,8 @@ Lagrange P1/P2 assembly of the stiffness matrix K and the boundary mass
 matrix B.  The Steklov spectrum is the finite spectrum of the sparse
 pencil K x = sigma B x; B vanishes on interior unknowns, so the pencil
 also has infinite eigenvalues, which shift-invert Lanczos never reaches.
-Only the few smallest eigenpairs are computed.
+Only the few smallest eigenpairs are computed.  The optimizer solves with
+trefftz.py; this solver is the reference it is tested against.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import SolverFailure, ZeroBoundaryTrace
+from .gradients import BoundarySamples
 from .meshing import TriangleMesh, edge_keys
 
 # quadrature on the reference triangle: edge midpoints, exact to degree 2
@@ -165,39 +167,60 @@ class SteklovSpectrum:
     """Sorted Steklov eigenvalues with boundary traces of eigenfunctions.
 
     traces[:, k] holds eigenfunction k at the boundary dofs (loop order),
-    normalized so traces^T B_bb traces = I; tangential[:, k] is the
-    arclength derivative of the order-2 boundary restriction at the same
-    nodes.  b_boundary is the dense B_bb itself: the solver does not need
-    it, but it is what the trace normalization is checked against.
+    normalized so traces^T B_bb traces = I; samples holds the traces at
+    three Gauss points per boundary segment, their arclength derivatives,
+    and sigma_k times the trace as the normal derivative (the boundary
+    condition).  b_boundary is the dense B_bb itself: the solver does not
+    need it, but it is what the trace normalization is checked against.
     """
 
     eigenvalues: np.ndarray
     traces: np.ndarray
-    tangential: np.ndarray
+    samples: BoundarySamples
     space: FEMSpace
     b_boundary: np.ndarray      # dense boundary mass block, loop order
 
 
-def _tangential_derivative(space: FEMSpace, y):
-    """Arclength derivative of boundary traces at each boundary dof.
+def _boundary_samples(space: FEMSpace, y, sigma) -> BoundarySamples:
+    """Traces y (boundary dofs x eigenfunctions) at the 3-point Gauss
+    nodes of every boundary segment, placed on the polyline's edges.
 
-    Per segment the restriction is quadratic (P2) or linear (P1) in arc
-    parameter; one-sided derivatives at vertices are averaged.
+    The segment's polyline edge and the node's position along it come from
+    the arclengths of the boundary loop and of the mesh vertices holding
+    the polyline vertices.
     """
-    pts = space.mesh.vertices[space.mesh.boundary_loop]
-    L = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)[:, None]
+    mesh = space.mesh
+    pts = mesh.vertices[mesh.boundary_loop]
+    L = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     if space.order == 1:
-        fwd = (np.roll(y, -1, axis=0) - y) / L
-        return 0.5 * (fwd + np.roll(fwd, 1, axis=0))
-    # segment i runs from vertex dof u0 over midpoint um to vertex dof u1
-    u0, um = y[0::2], y[1::2]
-    u1 = np.roll(u0, -1, axis=0)
-    start = 0.5 * (-3.0 * u0 + 4.0 * um - u1) / L
-    end = 0.5 * (u0 - 4.0 * um + 3.0 * u1) / L
-    dy = np.empty_like(y)
-    dy[0::2] = start + np.roll(end, 1, axis=0)
-    dy[1::2] = (u1 - u0) / L
-    return dy
+        ends = (y, np.roll(y, -1, axis=0))
+        shape = np.column_stack([1.0 - _G1, _G1])
+        dshape = np.tile([-1.0, 1.0], (len(_G1), 1))
+    else:
+        # segment i runs from vertex dof 2i over midpoint 2i+1 to 2i+2
+        ends = (y[0::2], np.roll(y[0::2], -1, axis=0), y[1::2])
+        shape = np.stack([_p2_1d(t) for t in _G1])
+        dshape = np.column_stack([4.0 * _G1 - 3.0, 4.0 * _G1 - 1.0,
+                                  4.0 - 8.0 * _G1])
+    nodes = np.stack(ends, axis=1)                  # (seg, local, eig)
+    u = np.einsum("gl,sle->sge", shape, nodes).reshape(-1, y.shape[1])
+    ut = (np.einsum("gl,sle->sge", dshape, nodes)
+          / L[:, None, None]).reshape(-1, y.shape[1])
+
+    arcs = mesh.boundary_arclengths()
+    total = float(arcs[-1] + L[-1])
+    arcs_v = arcs[mesh.boundary_vertex_map]
+    arcs_ext = np.concatenate([arcs_v, [arcs_v[0] + total]])
+    edge = np.searchsorted(arcs_v, arcs + 1e-12 * max(total, 1.0),
+                           side="right") - 1
+    edge = np.clip(edge, 0, len(arcs_v) - 1)
+    span = arcs_ext[edge + 1] - arcs_ext[edge]
+    span = np.where(span < 1e-300, 1.0, span)
+    at = arcs[:, None] + _G1[None, :] * L[:, None]
+    lam = (at - arcs_ext[edge][:, None]) / span[:, None]
+    return BoundarySamples(edge=np.repeat(edge, len(_G1)), lam=lam.ravel(),
+                           weight=np.outer(L, _W1).ravel(), u=u, ut=ut,
+                           un=u * sigma)
 
 
 def solve_spectrum(space: FEMSpace, K, B, m: int) -> SteklovSpectrum:
@@ -233,8 +256,8 @@ def solve_spectrum(space: FEMSpace, K, B, m: int) -> SteklovSpectrum:
     y = x[bset][:, order]
     Bbb = B.tocsc()[np.ix_(bset, bset)].toarray()
     Bbb = 0.5 * (Bbb + Bbb.T)
-    dy = _tangential_derivative(space, y)
-    return SteklovSpectrum(eigenvalues=w, traces=y, tangential=dy,
+    return SteklovSpectrum(eigenvalues=w, traces=y,
+                           samples=_boundary_samples(space, y, w),
                            space=space, b_boundary=Bbb)
 
 

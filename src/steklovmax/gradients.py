@@ -2,39 +2,42 @@
 
 The boundary is the reconstructed polyline, and a velocity per vertex moves
 it piecewise linearly.  The derivative is the polygon-exact Hadamard formula
-of _pair_weights, integrated edgewise over the P2 boundary dofs with the
-normal-derivative square replaced by sigma^2 u^2 through the boundary
-condition.  Clustered eigenvalues use the cluster matrix of _gradient_rows.
+of _pair_weights, integrated over the quadrature samples that the solver
+leaves on its spectrum (BoundarySamples).  Clustered eigenvalues use the
+cluster matrix of _gradient_rows.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ClusteredEigenvalue
-from .fem import SteklovSpectrum
 from .geometry import BoundaryField, BoundaryPolyline
 from .graphs import GraphPair
 
 CLUSTER_TOL = 1e-3
 
 
-def _vertex_arcs(spec: SteklovSpectrum):
-    """Arclength of each polyline vertex along the mesh boundary loop."""
-    space = spec.space
-    mesh = space.mesh
-    loop_arcs = mesh.boundary_arclengths()
-    return loop_arcs[mesh.boundary_vertex_map]
+@dataclass(frozen=True)
+class BoundarySamples:
+    """Eigenfunctions sampled at boundary quadrature nodes of a polyline.
+
+    Node i lies on polyline edge edge[i] at position lam[i] (0 at vertex
+    edge[i], 1 at the next vertex) and carries the arclength quadrature
+    weight weight[i].  Column j of u, ut and un holds eigenfunction j, its
+    tangential derivative and its outward normal derivative at the nodes,
+    with the eigenfunctions orthonormal in the boundary L2 product.
+    """
+
+    edge: np.ndarray
+    lam: np.ndarray
+    weight: np.ndarray
+    u: np.ndarray
+    ut: np.ndarray
+    un: np.ndarray
 
 
-def _interval_lengths(spec: SteklovSpectrum):
-    space = spec.space
-    arc = space.boundary_arc
-    pts = space.dof_coords[space.boundary_dofs]
-    seg = np.diff(arc)
-    last = np.linalg.norm(pts[0] - pts[-1])
-    return np.concatenate([seg, [last]])
-
-
-def cluster_indices(spec: SteklovSpectrum, k, cluster_tol=CLUSTER_TOL):
+def cluster_indices(spec, k, cluster_tol=CLUSTER_TOL):
     """Contiguous index range of eigenvalues within cluster_tol of sigma_k."""
     w = spec.eigenvalues
     scale = max(abs(w[k]), 1e-12)
@@ -58,68 +61,40 @@ def _edge_frames(b: BoundaryPolyline):
     return tau, nrm, el
 
 
-def _interval_geometry(spec: SteklovSpectrum, b: BoundaryPolyline):
-    """Boundary-dof interval data for edgewise integration.
-
-    Returns (L, edge, lam0, lam1, span): per interval its length, the
-    polyline edge it lies on, the barycentric positions of its endpoints
-    along that edge, and the edge's arclength span.
-    """
-    arc = spec.space.boundary_arc
-    L = _interval_lengths(spec)
-    arcs_v = _vertex_arcs(spec)
-    total = float(arc[-1] + L[-1])
-    arcs_ext = np.concatenate([arcs_v, [arcs_v[0] + total]])
-    edge = np.searchsorted(arcs_v, arc + 1e-12 * max(total, 1.0),
-                           side="right") - 1
-    edge = np.clip(edge, 0, len(b) - 1)
-    a0 = arcs_ext[edge]
-    span = arcs_ext[edge + 1] - a0
-    span = np.where(span < 1e-300, 1.0, span)
-    lam0 = (arc - a0) / span
-    lam1 = (arc + L - a0) / span
-    return L, edge, lam0, lam1, span
-
-
-def _pair_weights(spec: SteklovSpectrum, a, bb, b: BoundaryPolyline, geom):
+def _pair_weights(spec, a, bb, b: BoundaryPolyline):
     """Vertex-velocity weights of the pair (a, bb) shape derivative.
 
     Returns W of shape (n_vertices, 2) such that the derivative of the
     boundary functional under a vertex velocity field V (piecewise linear
-    along the polyline) is sum_j V_j . W_j.  The polygon-exact Hadamard
-    formula is used: for harmonic eigenfunctions,
-      d sigma = int (u_tau.u_tau - sigma^2 u u) V.n ds
-                - sigma int (u_a u_tau_b + u_b u_tau_a) V.tau ds
-                - sigma int u_a u_b div_tau V ds,
-    with edge frames (tau, n) constant per edge, so the formula is exact for
-    the polygon and captures the corner effects of the discrete
-    parametrization.
+    along the polyline) is sum_j V_j . W_j.  For harmonic u_a, u_b and
+    sigma the mean of their eigenvalues,
+      d sigma = int (u_a,tau u_b,tau + u_a,n u_b,n
+                     - sigma (u_a u_b,n + u_b u_a,n)) V.n ds
+                - sigma int (u_a u_b,tau + u_b u_a,tau) V.tau ds
+                - sigma int u_a u_b div_tau V ds:
+    the Reynolds derivative of int grad u_a . grad u_b dx less sigma times
+    that of int u_a u_b ds.  The edge frames (tau, n) are constant per
+    edge, so the formula is exact for the polygon, corners included.
     """
-    L, edge, lam0, lam1, span = geom
-    tau, nrm, _ = _edge_frames(b)
+    s = spec.samples
+    tau, nrm, el = _edge_frames(b)
     sig = 0.5 * (spec.eigenvalues[a] + spec.eigenvalues[bb])
-    ua, ub = spec.traces[:, a], spec.traces[:, bb]
-    ta, tb = spec.tangential[:, a], spec.tangential[:, bb]
-    fA = ta * tb - sig**2 * ua * ub       # multiplies V.n
-    fB = -sig * (ua * tb + ub * ta)       # multiplies V.tau
-    fC = -sig * ua * ub                   # multiplies div_tau V
+    ua, ub = s.u[:, a], s.u[:, bb]
+    ta, tb = s.ut[:, a], s.ut[:, bb]
+    na, nb = s.un[:, a], s.un[:, bb]
+    e = s.edge
+    w = s.weight
+    fA = w * (ta * tb + na * nb - sig * (ua * nb + ub * na))  # V.n
+    fB = -w * sig * (ua * tb + ub * ta)                       # V.tau
+    fC = -w * sig * ua * ub / el[e]                            # div_tau V
+    vec = fA[:, None] * nrm[e] + fB[:, None] * tau[e]
+    lo = (1.0 - s.lam)[:, None] * vec - fC[:, None] * tau[e]
+    hi = s.lam[:, None] * vec + fC[:, None] * tau[e]
     nv = len(b)
-    m1 = np.roll(np.arange(len(L)), -1)
-
-    W = np.zeros((nv, 2))
-    j1 = (edge + 1) % nv
-    for f, vecs in ((fA, nrm), (fB, tau)):
-        f0, f1 = f, f[m1]
-        cg0 = L / 6.0 * (2 * f0 + f1)
-        cg1 = L / 6.0 * (f0 + 2 * f1)
-        w_lo = cg0 * (1 - lam0) + cg1 * (1 - lam1)
-        w_hi = cg0 * lam0 + cg1 * lam1
-        np.add.at(W, edge, w_lo[:, None] * vecs[edge])
-        np.add.at(W, j1, w_hi[:, None] * vecs[edge])
-    intC = L / 2.0 * (fC + fC[m1]) / span
-    np.add.at(W, edge, -intC[:, None] * tau[edge])
-    np.add.at(W, j1, intC[:, None] * tau[edge])
-    return W
+    nxt = (e + 1) % nv
+    return np.column_stack([
+        np.bincount(e, lo[:, c], nv) + np.bincount(nxt, hi[:, c], nv)
+        for c in (0, 1)])
 
 
 def _gradient_rows(spec, k, b, transform, cluster_tol):
@@ -128,34 +103,27 @@ def _gradient_rows(spec, k, b, transform, cluster_tol):
     transform maps a weight array W (n_vertices, 2) to the vector of
     directional derivatives along the parametrization's basis velocities.
     Simple eigenvalue: derivative of the smooth branch through u_k.
-    Clustered eigenvalue: per coordinate the minimum eigenvalue of the
-    cluster matrix.  For k at the bottom of the cluster this is the exact
-    one-sided derivative (sigma_k follows the lowest splitting branch);
-    higher in the cluster it is the conservative lower bound, so the
-    ascent cannot overshoot across a branch crossing.
+    Clustered eigenvalue: entry r is the smallest eigenvalue of the cluster
+    matrix M_r, the derivative of the cluster along coordinate r.  That is
+    a heuristic, not a directional derivative: along a direction d the
+    lowest branch moves at lambda_min(sum_r d_r M_r), which differs from
+    sum_r d_r lambda_min(M_r) unless the M_r commute (on the disk the
+    first-order gain predicted along d = g/|g| is 0.400 where finite
+    differences give 0.100).
     """
     lo, hi = cluster_indices(spec, k, cluster_tol)
-    geom = _interval_geometry(spec, b)
     if lo == hi:
-        return transform(_pair_weights(spec, k, k, b, geom))
+        return transform(_pair_weights(spec, k, k, b))
     m = hi - lo + 1
-    rows = {}
-    for a in range(m):
-        for bb in range(a, m):
-            rows[(a, bb)] = transform(_pair_weights(spec, lo + a, lo + bb, b, geom))
-    n_entries = len(next(iter(rows.values())))
-    grads = np.zeros(n_entries)
-    mat = np.zeros((m, m))
-    for r in range(n_entries):
-        for a in range(m):
-            for bb in range(a, m):
-                mat[a, bb] = rows[(a, bb)][r]
-                mat[bb, a] = mat[a, bb]
-        grads[r] = np.linalg.eigvalsh(mat)[0]
-    return grads
+    rows = {(a, bb): transform(_pair_weights(spec, lo + a, lo + bb, b))
+            for a in range(m) for bb in range(a, m)}
+    mats = np.empty((len(rows[0, 0]), m, m))
+    for (a, bb), row in rows.items():
+        mats[:, a, bb] = mats[:, bb, a] = row
+    return np.linalg.eigvalsh(mats)[:, 0]
 
 
-def vertex_field_derivative(spec: SteklovSpectrum, k, b: BoundaryPolyline,
+def vertex_field_derivative(spec, k, b: BoundaryPolyline,
                             field, cluster_tol=CLUSTER_TOL) -> float:
     """Derivative of a simple sigma_k under a per-vertex velocity field.
 
@@ -171,12 +139,10 @@ def vertex_field_derivative(spec: SteklovSpectrum, k, b: BoundaryPolyline,
         np.asarray(field, dtype=float)
     if vals.shape != (len(b), 2):
         raise ValueError("field must hold one 2D velocity per vertex")
-    geom = _interval_geometry(spec, b)
-    W = _pair_weights(spec, k, k, b, geom)
-    return float(np.sum(vals * W))
+    return float(np.sum(vals * _pair_weights(spec, k, k, b)))
 
 
-def support_gradient(spec: SteklovSpectrum, k, b: BoundaryPolyline,
+def support_gradient(spec, k, b: BoundaryPolyline,
                      cluster_tol=CLUSTER_TOL) -> np.ndarray:
     """Gradient of sigma_k with respect to every support value p_i.
 
@@ -200,7 +166,7 @@ def support_gradient(spec: SteklovSpectrum, k, b: BoundaryPolyline,
     return _gradient_rows(spec, k, b, transform, cluster_tol)
 
 
-def graph_gradient(spec: SteklovSpectrum, k, gp: GraphPair,
+def graph_gradient(spec, k, gp: GraphPair,
                    b: BoundaryPolyline, cluster_tol=CLUSTER_TOL):
     """Gradients of sigma_k with respect to lower-graph values p and
     upper-graph values q (vertical vertex perturbations V = (0, chi_i)).

@@ -2,8 +2,9 @@
 
 Convex mode optimizes the support values over the convexity/width/anchor
 polyhedron; non-convex mode optimizes the two-graph values under the
-ordering and box constraints.  A trial step whose projection, boundary,
-mesh or eigensolve fails is rejected and the step halved.
+ordering and box constraints.  Every candidate is solved mesh-free by the
+harmonic-polynomial Ritz solver of trefftz.py.  A trial step whose
+projection, boundary or eigensolve fails is rejected and the step halved.
 """
 
 from dataclasses import dataclass
@@ -13,13 +14,12 @@ import numpy as np
 from .constraints import build_constraint_set, project
 from .errors import (DegenerateBoundary, MeshFailure, NoAscent,
                      ProjectionFailure, SelfIntersection, SolverFailure)
-from .fem import SteklovSpectrum, assemble, build_space, solve_spectrum
 from .geometry import (BoundaryPolyline, DiameterReport, SupportVector,
                        AngleGrid, compute_diameter, reconstruct_boundary)
 from .gradients import (CLUSTER_TOL, cluster_indices, graph_gradient,
                         support_gradient)
 from .graphs import GraphPair
-from .meshing import triangulate
+from .trefftz import HarmonicSpectrum, solve_harmonic
 
 STEP_MIN = 1e-12
 STEP_GROW_CAP = 16.0
@@ -30,7 +30,12 @@ REJECTED = (ProjectionFailure, SelfIntersection, DegenerateBoundary,
 
 @dataclass(frozen=True)
 class OptimOptions:
-    """Knobs of the ascent loop (defaults follow the reference setup)."""
+    """Knobs of the ascent loop (defaults follow the reference setup).
+
+    mesh_h_factor and target_h are not used by the ascent, whose solver is
+    mesh-free; they remain for callers that mesh the same shapes with
+    meshing.triangulate at that size.
+    """
 
     k: int = 1
     n_angles: int = 200
@@ -94,22 +99,19 @@ class OptimState:
     message: str = ""
 
 
-def solve_boundary(b: BoundaryPolyline, target_h, m) -> SteklovSpectrum:
-    """Mesh one boundary and solve its m+1 smallest P2 Steklov eigenpairs.
+def solve_boundary(b: BoundaryPolyline, m) -> HarmonicSpectrum:
+    """The m+1 smallest Steklov eigenpairs of one polygon.
 
-    The only mesh -> space -> assemble -> solve pipeline.  The layer entry
-    points are looked up in this module's namespace at call time, which is
-    where perfbench/tracing.py wraps them.
+    The only solve path of the optimizer, the command line and the
+    experiments.  solve_harmonic is looked up in this module's namespace
+    at call time, so a wrapper installed here sees every solve.
     """
-    mesh = triangulate(b, target_h)
-    space = build_space(mesh, 2)
-    K, B = assemble(space)
-    return solve_spectrum(space, K, B, m)
+    return solve_harmonic(b, m)
 
 
 def evaluate_boundary(b: BoundaryPolyline, opts: OptimOptions) -> Evaluation:
-    """Mesh and solve one candidate boundary; propagate rejection errors."""
-    spec = solve_boundary(b, opts.target_h, opts.k + 2)
+    """Solve one candidate boundary; propagate rejection errors."""
+    spec = solve_boundary(b, opts.k + 2)
     return Evaluation(b, spec.eigenvalues, spec, compute_diameter(b))
 
 

@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
-from steklovmax import AngleGrid, SupportVector
+from steklovmax import (AngleGrid, SupportVector, assemble, build_space,
+                        solve_spectrum, triangulate)
 from steklovmax.geometry import BoundaryPolyline
 from steklovmax.graphs import GraphPair
 from steklovmax.optimize import solve_boundary  # noqa: F401 (shared helper)
+
+
+def fem_spectrum(b, h, m):
+    """FEM oracle: mesh at size h, P2 space, assembly, m+1 eigenpairs."""
+    space = build_space(triangulate(b, h), 2)
+    K, B = assemble(space)
+    return solve_spectrum(space, K, B, m)
 
 
 def ellipse_boundary(n=100, a=1.0, b=0.6):
@@ -47,15 +55,15 @@ def two_graph_boundary(n=60):
 
 @pytest.fixture(scope="session")
 def disk_spec():
-    """Unit disk, N = 200, target_h = 0.1 (the benchmark configuration)."""
-    return solve_boundary(disk_boundary(200), 0.1, m=10)
+    """FEM oracle on the unit disk, N = 200, h = 0.1."""
+    return fem_spectrum(disk_boundary(200), 0.1, m=10)
 
 
 @pytest.fixture(scope="session")
 def ellipse_case():
     """Ellipse (1, 0.6) at N = 100 with its spectrum; sigma_1 is simple."""
     b = ellipse_boundary(100)
-    return b, solve_boundary(b, 0.1, m=5)
+    return b, solve_boundary(b, m=5)
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,11 @@ from scipy.spatial import ConvexHull
 from scipy.spatial.distance import pdist
 
 from steklovmax import (AngleGrid, OptimOptions, PerturbationSpec,
-                        SupportVector, ascend, ascend_nonconvex, assemble,
-                        build_constraint_set, build_space, compute_diameter,
+                        SupportVector, ascend, ascend_nonconvex,
+                        build_constraint_set, compute_diameter,
                         derive_bound_constant, disk_perturbation_slope,
                         disk_support, project, reconstruct_boundary,
-                        solve_spectrum, support_gradient, triangulate,
-                        vertex_field_derivative)
+                        support_gradient, vertex_field_derivative)
 from steklovmax.cli import _flat_graphs, _flat_support, main
 from steklovmax.geometry import BoundaryPolyline
 import conftest
@@ -77,7 +76,7 @@ def nonconvex_runs():
 # ----------------------------------------------------------------- criteria
 
 def test_criterion_1_disk_spectrum_benchmark():
-    spec = solve_boundary(disk_boundary(200), 0.1, m=9)
+    spec = solve_boundary(disk_boundary(200), m=9)
     analytic = np.array([1, 1, 2, 2, 3, 3, 4, 4], dtype=float)
     w = np.asarray(spec.eigenvalues[1:9])
     rel = float(np.max(np.abs(w - analytic) / analytic))
@@ -85,15 +84,12 @@ def test_criterion_1_disk_spectrum_benchmark():
 
 
 def test_criterion_2_homogeneity():
-    mesh = triangulate(ellipse_boundary(), 0.1)
-    space1 = build_space(mesh, 2)
-    K1, B1 = assemble(space1)
-    w1 = np.asarray(solve_spectrum(space1, K1, B1, 5).eigenvalues)
+    b = ellipse_boundary()
+    w1 = np.asarray(solve_boundary(b, 5).eigenvalues)
     worst = 0.0
     for t in (0.5, 2.0):
-        space2 = build_space(mesh.scaled(t), 2)
-        K2, B2 = assemble(space2)
-        w2 = np.asarray(solve_spectrum(space2, K2, B2, 5).eigenvalues)
+        scaled = BoundaryPolyline(b.vertices * t)
+        w2 = np.asarray(solve_boundary(scaled, 5).eigenvalues)
         worst = max(worst, float(np.max(np.abs(w2 * t - w1))))
     report(2, worst < 1e-9, f"sigma_k(t Omega) t deviation {worst:.2e} < 1e-9")
 
@@ -106,7 +102,7 @@ def test_criterion_3_gradient_correctness():
     p = np.sqrt(np.cos(g.theta) ** 2 + (0.6 * np.sin(g.theta)) ** 2)
     sv = SupportVector(g, p)
     b = reconstruct_boundary(sv)
-    spec = solve_boundary(b, 0.1, 4)
+    spec = solve_boundary(b, 4)
     grad = support_gradient(spec, 1, b)
     sig = float(spec.eigenvalues[1])
     rng = np.random.default_rng(7)
@@ -114,11 +110,11 @@ def test_criterion_3_gradient_correctness():
         p2 = p.copy()
         p2[i] += fd_step
         b2 = reconstruct_boundary(SupportVector(g, p2))
-        fd = (float(solve_boundary(b2, 0.1, 4).eigenvalues[1]) - sig) / fd_step
+        fd = (float(solve_boundary(b2, 4).eigenvalues[1]) - sig) / fd_step
         worst = max(worst, abs(grad[i] - fd) / max(abs(fd), 0.1))
     # shape-derivative values, 10 random smooth directions
     be = ellipse_boundary()
-    spec_e = solve_boundary(be, 0.1, 4)
+    spec_e = solve_boundary(be, 4)
     sig_e = float(spec_e.eigenvalues[1])
     nrm = vertex_normals(be)
     ang = np.arctan2(be.vertices[:, 1] / 0.6, be.vertices[:, 0])
@@ -128,7 +124,7 @@ def test_criterion_3_gradient_correctness():
               + c[3] * np.cos(2 * ang) + c[4] * np.sin(2 * ang))
         d = vertex_field_derivative(spec_e, 1, be, vn[:, None] * nrm)
         moved = BoundaryPolyline(be.vertices + fd_step * vn[:, None] * nrm)
-        fd = (float(solve_boundary(moved, 0.1, 4).eigenvalues[1]) - sig_e) / fd_step
+        fd = (float(solve_boundary(moved, 4).eigenvalues[1]) - sig_e) / fd_step
         worst = max(worst, abs(d - fd) / max(abs(fd), 0.1))
     report(3, worst < 3e-2, f"gradient vs FD worst rel err {worst:.2e} < 3e-2")
 
@@ -187,7 +183,7 @@ def test_criterion_7_bound_invariant(convex_runs, nonconvex_runs):
                 checked += 1
     # benchmark domains
     for b in (disk_boundary(200), ellipse_boundary()):
-        spec = solve_boundary(b, 0.1, 4)
+        spec = solve_boundary(b, 4)
         for k in (1, 2):
             c = derive_bound_constant(k).C2k
             area = abs(b.area())
@@ -233,7 +229,7 @@ def test_criterion_9_property_suites(tmp_path):
     details.append(f"idempotence {idem:.1e}")
     # translation/dilation derivative identities on the ellipse
     b = ellipse_boundary()
-    spec = solve_boundary(b, 0.1, 4)
+    spec = solve_boundary(b, 4)
     tr = abs(vertex_field_derivative(
         spec, 1, b, np.tile([1.0, 0.0], (len(b), 1))))
     dil = vertex_field_derivative(spec, 1, b, b.vertices)

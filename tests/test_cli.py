@@ -162,7 +162,7 @@ def test_jobs_fanout_namespaced(tmp_path):
     rc = main(["--mode", "spectrum", "--k", "1,2", "--jobs", "2",
                "--out-dir", str(par)] + FAST)
     assert rc == 0
-    # the Lanczos solves run concurrently on the --jobs threads; each k's
+    # the solves run concurrently on the --jobs threads; each k's
     # eigenvalues must equal those of a serial single-k run exactly
     for k in (1, 2):
         ser = tmp_path / f"serial{k}"
@@ -179,3 +179,16 @@ def test_console_entry_point(tmp_path):
          "--out-dir", str(tmp_path)] + FAST,
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("mode", ["optimize-convex", "optimize-nonconvex"])
+def test_objective_describes_reported_shape(tmp_path, mode):
+    # objective is the best iterate's sigma_k * D, the iterate whose
+    # eigenvalues, diameter and shape.csv the run reports, not the last
+    # restart's final value
+    cfg = RunConfig(mode=mode, k=2, n_angles=60, max_iters=5, seed=3,
+                    out_dir=str(tmp_path))
+    payload = run(cfg)
+    assert payload["objective"] == \
+        payload["eigenvalues"][2] * payload["diameter"]
+    assert payload["objective"] == max(payload["history"])

@@ -60,7 +60,7 @@ def test_perturbation_spec_validation():
 def test_check_bound_disk():
     ps = PerturbationSpec(0.0, 0.0, (0.01,))
     b = perturbed_disk_boundary(0.0, ps, 200)
-    spec = solve_boundary(b, 0.1, 3)
+    spec = solve_boundary(b, 3)
     rep = check_bound(b, spec, 1)
     # unit disk: sigma_1 = 1, bound = 16 pi / 8 = 2 pi, margin ~ 0.159
     assert rep["passed"]
@@ -71,7 +71,7 @@ def test_check_bound_thin_rectangle():
     from steklovmax.geometry import BoundaryPolyline
     r = BoundaryPolyline(np.array([[0, 0], [2, 0], [2, 0.1], [0, 0.1]],
                                   float))
-    spec = solve_boundary(r, 0.05, 3)
+    spec = solve_boundary(r, 3)
     rep = check_bound(r, spec, 1)
     assert rep["passed"]
     assert np.isclose(rep["bound"], 16 * 0.2 / 2.0024**3, rtol=1e-2)
@@ -80,7 +80,7 @@ def test_check_bound_thin_rectangle():
 def test_multiplicity_report_disk_k2():
     ps = PerturbationSpec(0.0, 0.0, (0.01,))
     b = perturbed_disk_boundary(0.0, ps, 200)
-    spec = solve_boundary(b, 0.1, 4)
+    spec = solve_boundary(b, 4)
 
     class FakeState:
         eigenvalues = np.asarray(spec.eigenvalues)
@@ -108,7 +108,7 @@ def test_scale_invariance():
 
 def test_slope_report_shape():
     ps = PerturbationSpec(0.0, 0.0, (0.005, 0.01))
-    rep = slope_report(ps, n_angles=100, mesh_h_factor=0.1)
+    rep = slope_report(ps, n_angles=100)
     assert rep["predicted_slope"] == 0.0
     assert abs(rep["measured_slope"]) < 0.1
     assert rep["passed"]

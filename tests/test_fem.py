@@ -119,17 +119,20 @@ def test_boundary_arc_total(disk_spec):
 
 
 def test_tangential_derivative_of_linear_function():
-    # u = x restricted to the unit circle: u_tau = -sin(angle of node)
-    mesh = triangulate(disk_boundary(100), 0.1)
-    space = build_space(mesh, 2)
-    K, B = assemble(space)
-    spec = solve_spectrum(space, K, B, 2)
-    from steklovmax.fem import _tangential_derivative
+    # u = x: the P2 trace reproduces it at the boundary Gauss samples, and
+    # its arclength derivative there is the x-component of the edge tangent
+    b = disk_boundary(100)
+    space = build_space(triangulate(b, 0.1), 2)
     coords = space.dof_coords[space.boundary_dofs]
-    u = coords[:, [0]]
-    du = _tangential_derivative(space, u)[:, 0]
-    ang = np.arctan2(coords[:, 1], coords[:, 0])
-    assert np.allclose(du, -np.sin(ang), atol=5e-3)
+    s = fem._boundary_samples(space, coords[:, [0]], np.array([2.0]))
+    v = b.vertices
+    e = np.roll(v, -1, axis=0) - v
+    at = v[s.edge] + s.lam[:, None] * e[s.edge]
+    tau_x = (e[:, 0] / np.linalg.norm(e, axis=1))[s.edge]
+    assert np.allclose(s.u[:, 0], at[:, 0], atol=1e-12)
+    assert np.allclose(s.ut[:, 0], tau_x, atol=1e-12)
+    assert np.array_equal(s.un, 2.0 * s.u)
+    assert np.isclose(s.weight.sum(), b.perimeter(), rtol=1e-12)
 
 
 def p2_numbering_oracle(mesh):

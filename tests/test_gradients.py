@@ -8,26 +8,24 @@ from steklovmax import (AngleGrid, SupportVector, cluster_indices,
                         support_gradient, vertex_field_derivative)
 from steklovmax.errors import ClusteredEigenvalue
 from steklovmax.geometry import BoundaryPolyline
-from steklovmax.gradients import _interval_geometry, _pair_weights
+from steklovmax.gradients import _pair_weights
 from steklovmax.graphs import GraphPair
-from conftest import (disk_boundary, ellipse_boundary, solve_boundary,
-                      vertex_normals)
+from conftest import (disk_boundary, ellipse_boundary, fem_spectrum,
+                      solve_boundary, vertex_normals)
 
-H_TARGET = 0.1
 FD_STEP = 1e-5
 
 
 def sigma(b, k=1, m=4):
-    return float(np.asarray(solve_boundary(b, H_TARGET, m).eigenvalues)[k])
+    return float(np.asarray(solve_boundary(b, m).eigenvalues)[k])
 
 
 def cluster_matrix(spec, cluster, b, field):
     """Directional-derivative matrix of a cluster under a vertex field,
     built from the same pair weights as the optimizer's gradient rows."""
     lo, hi = cluster
-    geom = _interval_geometry(spec, b)
     idx = range(lo, hi + 1)
-    return np.array([[np.sum(field * _pair_weights(spec, i, j, b, geom))
+    return np.array([[np.sum(field * _pair_weights(spec, i, j, b))
                       for j in idx] for i in idx])
 
 
@@ -67,13 +65,13 @@ def test_shape_derivative_matches_fd_random_directions(ellipse_case):
 
 def test_clustered_eigenvalue_raises_on_disk():
     b = disk_boundary(100)
-    spec = solve_boundary(b, H_TARGET, 4)
+    spec = solve_boundary(b, 4)
     with pytest.raises(ClusteredEigenvalue):
         vertex_field_derivative(spec, 1, b, vertex_normals(b))
 
 
 def test_cluster_indices_disk():
-    spec = solve_boundary(disk_boundary(100), H_TARGET, 5)
+    spec = solve_boundary(disk_boundary(100), 5)
     assert cluster_indices(spec, 1) == (1, 2)
     assert cluster_indices(spec, 3) == (3, 4)
 
@@ -82,7 +80,7 @@ def test_cluster_matrix_disk_cos2():
     # unit disk, sigma_1 pair, V = cos(2 angle) n: branch derivatives are
     # +-3/2 (the first-order splitting of the perturbed-disk expansion)
     b = disk_boundary(200)
-    spec = solve_boundary(b, H_TARGET, 4)
+    spec = solve_boundary(b, 4)
     ang = np.arctan2(b.vertices[:, 1], b.vertices[:, 0])
     M = cluster_matrix(spec, (1, 2), b,
                        np.cos(2 * ang)[:, None] * vertex_normals(b))
@@ -93,7 +91,7 @@ def test_cluster_matrix_disk_cos2():
 def test_cluster_matrix_dilation_trace():
     # V = n on the unit disk: both branches move by -sigma = -1
     b = disk_boundary(200)
-    spec = solve_boundary(b, H_TARGET, 4)
+    spec = solve_boundary(b, 4)
     M = cluster_matrix(spec, (1, 2), b, vertex_normals(b))
     assert np.allclose(M, -np.eye(2), atol=0.02)
 
@@ -109,7 +107,7 @@ def ellipse_support(n=100, a=1.0, b=0.6):
 def test_support_gradient_matches_fd_ellipse():
     sv = ellipse_support()
     b = reconstruct_boundary(sv)
-    spec = solve_boundary(b, H_TARGET, 4)
+    spec = solve_boundary(b, 4)
     g = support_gradient(spec, 1, b)
     sig = float(spec.eigenvalues[1])
     rng = np.random.default_rng(7)
@@ -122,12 +120,29 @@ def test_support_gradient_matches_fd_ellipse():
         assert abs(g[i] - fd) < 3e-2 * max(abs(fd), 0.1)
 
 
+def test_support_gradient_fem_samples_match_fem_fd():
+    # the FEM spectrum's boundary samples (P2 trace, d_n u = sigma u) give
+    # the support gradient of the FEM eigenvalue
+    sv = ellipse_support()
+    b = reconstruct_boundary(sv)
+    spec = fem_spectrum(b, 0.1, 4)
+    g = support_gradient(spec, 1, b)
+    sig = float(spec.eigenvalues[1])
+    rng = np.random.default_rng(7)
+    for i in rng.choice(sv.grid.n_angles, size=5, replace=False):
+        p2 = sv.p.copy()
+        p2[i] += FD_STEP
+        b2 = reconstruct_boundary(SupportVector(sv.grid, p2))
+        fd = (float(fem_spectrum(b2, 0.1, 4).eigenvalues[1]) - sig) / FD_STEP
+        assert abs(g[i] - fd) < 3e-2 * max(abs(fd), 0.1)
+
+
 def test_support_gradient_sum_is_normal_field_derivative():
     # sum of entries equals the derivative under the pure nodal-normal
     # field (the tangential neighbor terms cancel telescopically)
     sv = ellipse_support()
     b = reconstruct_boundary(sv)
-    spec = solve_boundary(b, H_TARGET, 4)
+    spec = solve_boundary(b, 4)
     g = support_gradient(spec, 1, b)
     theta = sv.grid.theta
     field = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -141,7 +156,7 @@ def test_support_gradient_disk_sum_near_minus_sigma():
     # check the smooth normal-field derivative path instead on the ellipse
     sv = ellipse_support()
     b = reconstruct_boundary(sv)
-    spec = solve_boundary(b, H_TARGET, 4)
+    spec = solve_boundary(b, 4)
     # dilation: moving every vertex radially by its support value scales
     # the shape; d sigma = -sigma for the exact field
     field = b.vertices.copy()
@@ -154,13 +169,13 @@ def test_support_gradient_cyclic_shift_symmetry():
     sv = ellipse_support()
     shift = 25    # quarter turn of N = 100: ellipse maps to itself rotated
     b1 = reconstruct_boundary(sv)
-    spec1 = solve_boundary(b1, H_TARGET, 4)
+    spec1 = solve_boundary(b1, 4)
     g1 = support_gradient(spec1, 1, b1)
     sv2 = SupportVector(sv.grid, np.roll(sv.p, shift))
     b2 = reconstruct_boundary(sv2)
-    spec2 = solve_boundary(b2, H_TARGET, 4)
+    spec2 = solve_boundary(b2, 4)
     g2 = support_gradient(spec2, 1, b2)
-    # loose tolerance: the mesh interior is not rotation equivariant
+    # the quarter-turned vertices equal the originals only to rounding
     assert np.allclose(g2, np.roll(g1, shift), atol=1e-2)
 
 
@@ -175,7 +190,7 @@ def lens_graphs(n=50, d=2.0, flat=0.6):
 def test_graph_gradient_matches_fd():
     gp = lens_graphs()
     b = gp.polyline()
-    spec = solve_boundary(b, H_TARGET, 4)
+    spec = solve_boundary(b, 4)
     gl, gu = graph_gradient(spec, 1, gp, b)
     sig = float(spec.eigenvalues[1])
     rng = np.random.default_rng(13)
@@ -197,7 +212,7 @@ def test_graph_vertical_translation_invariance():
     # so it equals minus their contribution; check both statements.
     gp = lens_graphs()
     b = gp.polyline()
-    spec = solve_boundary(b, H_TARGET, 4)
+    spec = solve_boundary(b, 4)
     field = np.tile([0.0, 1.0], (len(b), 1))
     d_full = vertex_field_derivative(spec, 1, b, field)
     assert abs(d_full) < 2e-3
@@ -205,7 +220,7 @@ def test_graph_vertical_translation_invariance():
     # up-down symmetric lens: the endpoint contributions cancel by symmetry
     gp_sym = GraphPair(-gp.q, gp.q, gp.d)
     b_sym = gp_sym.polyline()
-    spec_sym = solve_boundary(b_sym, H_TARGET, 4)
+    spec_sym = solve_boundary(b_sym, 4)
     gls, gus = graph_gradient(spec_sym, 1, gp_sym, b_sym)
     scale = max(np.abs(gls).max(), np.abs(gus).max())
     assert abs(gls.sum() + gus.sum()) < 2e-2 * scale

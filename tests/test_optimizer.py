@@ -6,7 +6,8 @@ import pytest
 from steklovmax import (AngleGrid, OptimOptions, SupportVector, ascend,
                         ascend_nonconvex, build_constraint_set, disk_graphs,
                         disk_support)
-from steklovmax import optimize
+import steklovmax
+from steklovmax import fem, meshing, optimize
 from steklovmax.errors import (MeshFailure, NoAscent, ProjectionFailure,
                                SolverFailure)
 from steklovmax.graphs import GraphPair
@@ -178,11 +179,11 @@ def test_rejected_restart_is_skipped(monkeypatch):
 
 
 def test_each_evaluation_calls_every_layer_once(monkeypatch):
-    # the layer entry points are looked up in steklovmax.optimize at call
-    # time, so wrappers installed there see every stage of one evaluation
-    layers = ("triangulate", "build_space", "assemble", "solve_spectrum",
-              "compute_diameter")
-    calls = {name: 0 for name in layers}
+    # the solver and the diameter are looked up in steklovmax.optimize at
+    # call time, so wrappers installed there see every stage of one
+    # evaluation; the mesher and the FEM assembly must not run at all
+    calls = {"solve_harmonic": 0, "compute_diameter": 0, "triangulate": 0,
+             "assemble": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -190,11 +191,17 @@ def test_each_evaluation_calls_every_layer_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in layers:
-        monkeypatch.setattr(optimize, name,
-                            counting(name, getattr(optimize, name)))
+    for module, name in ((optimize, "solve_harmonic"),
+                         (optimize, "compute_diameter"),
+                         (meshing, "triangulate"), (fem, "assemble"),
+                         (steklovmax, "triangulate"),
+                         (steklovmax, "assemble")):
+        monkeypatch.setattr(module, name,
+                            counting(name, getattr(module, name)))
     opts = OptimOptions(k=1, **FAST)
     optimize.evaluate_support(disk_support(opts).p, opts)
-    assert calls == {name: 1 for name in layers}
+    assert calls == {"solve_harmonic": 1, "compute_diameter": 1,
+                     "triangulate": 0, "assemble": 0}
     optimize.evaluate_graphs(disk_graphs(opts), opts)
-    assert calls == {name: 2 for name in layers}
+    assert calls == {"solve_harmonic": 2, "compute_diameter": 2,
+                     "triangulate": 0, "assemble": 0}
