@@ -33,17 +33,12 @@ MODES = ("optimize-convex", "optimize-nonconvex", "spectrum",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs of one CLI invocation.
-
-    mesh_h_factor is validated and recorded in result.json but no mode
-    uses it: every solve is mesh-free.
-    """
+    """Validated inputs of one CLI invocation."""
 
     mode: str = "optimize-convex"
     k: int = 1
     n_angles: int = 200
     diameter: float = 2.0
-    mesh_h_factor: float = 0.05
     max_iters: int = 500
     tol: float = 1e-7
     seed: int = 0
@@ -59,8 +54,8 @@ class RunConfig:
             raise ConfigError("n_angles must be even and >= 8")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.diameter <= 0 or self.mesh_h_factor <= 0 or self.tol <= 0:
-            raise ConfigError("diameter, mesh_h_factor, tol must be positive")
+        if self.diameter <= 0 or self.tol <= 0:
+            raise ConfigError("diameter and tol must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         ini = self.initial
@@ -71,7 +66,7 @@ class RunConfig:
 
 _FIELD_TYPES = {
     "mode": str, "k": int, "n_angles": int, "diameter": float,
-    "mesh_h_factor": float, "max_iters": int, "tol": float, "seed": int,
+    "max_iters": int, "tol": float, "seed": int,
     "initial": str, "out_dir": str, "jobs": int, "verbose": bool,
 }
 
@@ -124,7 +119,6 @@ def _build_argparser():
                     help="eigenvalue index, or comma-separated list with --jobs")
     ap.add_argument("--n-angles", type=int, dest="n_angles")
     ap.add_argument("--diameter", type=float)
-    ap.add_argument("--mesh-h-factor", type=float, dest="mesh_h_factor")
     ap.add_argument("--max-iters", type=int, dest="max_iters")
     ap.add_argument("--tol", type=float)
     ap.add_argument("--seed", type=int)
@@ -173,8 +167,7 @@ def parse_config(argv, config_file=None):
 def _optim_options(cfg: RunConfig) -> OptimOptions:
     return OptimOptions(k=cfg.k, n_angles=cfg.n_angles, diameter=cfg.diameter,
                         max_iters=cfg.max_iters, stop_tol=cfg.tol,
-                        mesh_h_factor=cfg.mesh_h_factor, seed=cfg.seed,
-                        verbose=cfg.verbose)
+                        seed=cfg.seed, verbose=cfg.verbose)
 
 
 def _flatness(k):

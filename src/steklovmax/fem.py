@@ -218,9 +218,11 @@ def _boundary_samples(space: FEMSpace, y, sigma) -> BoundarySamples:
     span = np.where(span < 1e-300, 1.0, span)
     at = arcs[:, None] + _G1[None, :] * L[:, None]
     lam = (at - arcs_ext[edge][:, None]) / span[:, None]
+    m = y.shape[1]
     return BoundarySamples(edge=np.repeat(edge, len(_G1)), lam=lam.ravel(),
                            weight=np.outer(L, _W1).ravel(), u=u, ut=ut,
-                           un=u * sigma)
+                           un=u * sigma,
+                           basis_motion=np.zeros((m, m, len(arcs_v), 2)))
 
 
 def solve_spectrum(space: FEMSpace, K, B, m: int) -> SteklovSpectrum:

@@ -3,8 +3,9 @@
 The boundary is the reconstructed polyline, and a velocity per vertex moves
 it piecewise linearly.  The derivative is the polygon-exact Hadamard formula
 of _pair_weights, integrated over the quadrature samples that the solver
-leaves on its spectrum (BoundarySamples).  Clustered eigenvalues use the
-cluster matrix of _gradient_rows.
+leaves on its spectrum (BoundarySamples), plus the weights the samples
+carry for a trial space that moves with the vertices.  Clustered
+eigenvalues use the cluster matrix of _gradient_rows.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,9 @@ class BoundarySamples:
     weight weight[i].  Column j of u, ut and un holds eigenfunction j, its
     tangential derivative and its outward normal derivative at the nodes,
     with the eigenfunctions orthonormal in the boundary L2 product.
+    basis_motion[a, b] holds the vertex-velocity weights (n_vertices, 2)
+    that a solver whose trial functions move with the vertices adds to the
+    pair (a, b) derivative (zero for a trial space fixed in the plane).
     """
 
     edge: np.ndarray
@@ -35,6 +39,7 @@ class BoundarySamples:
     u: np.ndarray
     ut: np.ndarray
     un: np.ndarray
+    basis_motion: np.ndarray
 
 
 def cluster_indices(spec, k, cluster_tol=CLUSTER_TOL):
@@ -74,7 +79,8 @@ def _pair_weights(spec, a, bb, b: BoundaryPolyline):
                 - sigma int u_a u_b div_tau V ds:
     the Reynolds derivative of int grad u_a . grad u_b dx less sigma times
     that of int u_a u_b ds.  The edge frames (tau, n) are constant per
-    edge, so the formula is exact for the polygon, corners included.
+    edge, so the formula is exact for the polygon, corners included.  The
+    samples' basis_motion[a, bb] adds the change of the trial space.
     """
     s = spec.samples
     tau, nrm, el = _edge_frames(b)
@@ -94,7 +100,7 @@ def _pair_weights(spec, a, bb, b: BoundaryPolyline):
     nxt = (e + 1) % nv
     return np.column_stack([
         np.bincount(e, lo[:, c], nv) + np.bincount(nxt, hi[:, c], nv)
-        for c in (0, 1)])
+        for c in (0, 1)]) + s.basis_motion[a, bb]
 
 
 def _gradient_rows(spec, k, b, transform, cluster_tol):

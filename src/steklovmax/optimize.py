@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import build_constraint_set, project
-from .errors import (DegenerateBoundary, MeshFailure, NoAscent,
-                     ProjectionFailure, SelfIntersection, SolverFailure)
+from .errors import (DegenerateBoundary, NoAscent, ProjectionFailure,
+                     SelfIntersection, SolverFailure)
 from .geometry import (BoundaryPolyline, DiameterReport, SupportVector,
                        AngleGrid, compute_diameter, reconstruct_boundary)
 from .gradients import (CLUSTER_TOL, cluster_indices, graph_gradient,
@@ -25,7 +25,7 @@ STEP_MIN = 1e-12
 STEP_GROW_CAP = 16.0
 # failures of one candidate point: the step is rejected, not the run
 REJECTED = (ProjectionFailure, SelfIntersection, DegenerateBoundary,
-            MeshFailure, SolverFailure)
+            SolverFailure)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""Mesh-free Steklov eigensolver: Rayleigh-Ritz over harmonic polynomials.
+"""Mesh-free Steklov eigensolver: Rayleigh-Ritz over harmonic functions.
 
 Every Steklov eigenfunction is harmonic, so the trial space is spanned by
-Re p(z) and Im p(z) for the complex polynomials p of degree <= DEGREE, a
-space of dimension 2 DEGREE + 1.  Both forms of the pencil are then
-integrals over the polygon's boundary,
+Re p(z) and Im p(z) for the complex polynomials p of degree <= DEGREE,
+plus one singular harmonic function per sharp corner.  Both forms of the
+pencil are then integrals over the polygon's boundary,
 
     A_ij = int phi_i d_n phi_j ds  (= int grad phi_i . grad phi_j dx),
     B_ij = int phi_i phi_j ds,
@@ -12,24 +12,43 @@ evaluated by Gauss quadrature on every edge.  The polynomials come from
 Arnoldi iteration at the quadrature nodes ("Vandermonde with Arnoldi",
 Brubeck, Nakatsukasa and Trefethen, SIAM Review 2021), which keeps the
 basis well conditioned and carries the derivatives p' along.  B is
-factored by a QR decomposition of the weighted basis values and the
-pencil is solved by one dense symmetric eigensolve.  Ritz values bound
-the polygon's exact eigenvalues from above, up to quadrature error.
+factored by a Cholesky QR of the weighted basis values and the pencil is
+solved by one dense symmetric eigensolve.  Ritz values bound the
+polygon's exact eigenvalues from above, up to quadrature error.
+
+At a corner of interior angle alpha the eigenfunctions behave like
+r^gamma cos(gamma theta), gamma = pi / alpha, with theta measured from an
+edge.  Polynomials approximate that only algebraically, and badly at
+re-entrant corners (gamma < 1, unbounded gradient): on a wiggly two-graph
+domain they leave sigma_1 2.7e-2 too high at degree 45, a bias an ascent
+would exploit by sharpening such corners.  So every re-entrant corner,
+and every convex one turning by CONVEX_MIN_TURN..CONVEX_MAX_TURN, adds
+Im (w^gamma - w^n) / (gamma - n), w the corner-centred coordinate with
+its branch cut along the exterior bisector, and the edges at such a
+corner carry Gauss rules graded towards it.  (A cut that crosses the
+polygon elsewhere breaks Green's identity, and the antisymmetry guard
+rejects the shape; no test shape or optimum has one.)  That brings the two-graph
+domain to 3e-5 of fine FEM.  The corner functions move with the polygon,
+and the shape derivative's samples carry that motion (basis_motion).  A
+boundary residual ||d_n u - sigma u|| above RESIDUAL_TOL sigma rejects
+the shapes the basis still does not resolve.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
 
 from .errors import SolverFailure
 from .geometry import BoundaryPolyline
 from .gradients import BoundarySamples
 from .meshing import check_simple
 
-# 91 basis functions: degree 45 resolves sigma_1..sigma_5 of a five-lobed
-# star (r = 1 + 0.15 cos 5 theta) to 8e-5 relative, degree 30 to 5e-4
+# 91 polynomial basis functions: degree 45 resolves sigma_1..sigma_5 of a
+# five-lobed star (r = 1 + 0.15 cos 5 theta) to 8e-5 relative, degree 30
+# to 5e-4
 DEGREE = 45
 # Gauss points on an edge of length l: GAUSS_MIN + GAUSS_SLOPE * DEGREE * l
 # / sqrt(area), capped at DEGREE + 1 (exact for the integrands, of degree
@@ -38,9 +57,36 @@ DEGREE = 45
 GAUSS_MIN = 6
 GAUSS_SLOPE = 1.0
 # ||A - A^T|| / ||A|| above this means the quadrature does not resolve the
-# basis: the ascents' shapes give 1e-15..1e-10, and too few Gauss points
-# give 1e-7..1 together with wrong Ritz values
+# basis: the ascents' shapes give 1e-15..1e-9, and too few Gauss points,
+# or trial shapes folded into spikes, give 1e-7..1 together with wrong
+# Ritz values
 ANTISYMMETRY_TOL = 1e-7
+# corners that get a singular basis function: every re-entrant turn above
+# REENTRANT_MIN_TURN (smaller ones are straight to rounding), and convex
+# turns between CONVEX_MIN_TURN and CONVEX_MAX_TURN (gamma up to 1.5;
+# sharper corners are smooth to second order, and a rectangle's gamma = 2
+# is regular).  Convex polygons of the support ascent turn by 2 pi / N at
+# every vertex and are resolved by polynomials alone (to 1e-5 at
+# N = 100); the wiggly two-graph domain's convex corners of 10-29 degrees
+# still cost it 3e-5.
+REENTRANT_MIN_TURN = np.radians(0.5)
+CONVEX_MIN_TURN = np.radians(10.0)
+CONVEX_MAX_TURN = np.radians(60.0)
+# An edge half next to a corner carries the Gauss points of a plain edge
+# of twice the edge's length (capped at GRADING * DEGREE + 1, exact for
+# the polynomials), in s with the position along the half s^GRADING: the
+# shape derivative integrates |grad u|^2 ~ r^(2 gamma - 2) there, which
+# GRADING = 2 leaves 1e-5 wrong against finite differences, 3 at 1e-7.
+GRADING = 3
+# ||d_n u - sigma u|| / sigma over the boundary, for B-normalized u, above
+# this means the basis does not resolve the eigenfunction.  The test
+# shapes and the non-convex optima give 0.02-0.07 (eigenvalues within
+# 3e-5 of fine FEM); trial shapes of the non-convex ascents give up to 0.1
+# at errors up to 1.3e-4, and 0.1-0.25 at 1.5e-4..4.5e-4; polynomials
+# alone on the wiggly two-graph domain give 0.86 at 2.7e-2.
+RESIDUAL_TOL = 0.1
+# corner functions are evaluated this many at a time
+CORNER_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -48,11 +94,17 @@ class HarmonicSpectrum:
     """The m+1 smallest Ritz values and their eigenfunctions' samples.
 
     samples holds the B-orthonormal eigenfunctions and their tangential
-    and normal derivatives at the quadrature nodes.
+    and normal derivatives at the quadrature nodes.  Only the shape
+    derivative reads it, and its corner terms take a second pass over the
+    corner functions, so it is built on first access.
     """
 
     eigenvalues: np.ndarray
-    samples: BoundarySamples
+    build_samples: Callable[[], BoundarySamples] = field(repr=False)
+
+    @cached_property
+    def samples(self) -> BoundarySamples:
+        return self.build_samples()
 
 
 @lru_cache(maxsize=None)
@@ -64,48 +116,88 @@ def _gauss(n):
     return x, w
 
 
-def _quadrature(v, size):
-    """Gauss nodes on every edge of the vertex loop v, for a polygon of
-    area size^2.
+def _panel_nodes(edge, a, b, n, toward):
+    """Gauss nodes on the panels [a, b] of the edges edge, n points each.
 
-    Returns (edge, lam, weight): the edge of each node, its position along
-    the edge (0 at vertex edge, 1 at the next vertex) and its arclength
-    weight.  Nodes are ordered by edge.
+    toward is 0 for a plain rule, -1 (+1) for one graded towards a (b):
+    the substitution x = s^GRADING turns a corner's r^beta into the
+    smoother s^(GRADING (beta + 1) - 1).  Returns (edge, lam, weight) with
+    weights per unit edge length.
     """
-    ell = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
+    out_edge, out_lam, out_w = [], [], []
+    key = 3 * n + toward + 1
+    for kk in np.unique(key):
+        npts, kind = divmod(int(kk), 3)
+        s, ws = _gauss(npts)
+        if kind == 0:
+            x, dx = s ** GRADING, GRADING * s ** (GRADING - 1)
+        elif kind == 2:
+            x = 1.0 - (1.0 - s) ** GRADING
+            dx = GRADING * (1.0 - s) ** (GRADING - 1)
+        else:
+            x, dx = s, np.ones(npts)
+        at = np.flatnonzero(key == kk)
+        h = (b[at] - a[at])[:, None]
+        out_edge.append(np.repeat(edge[at], npts))
+        out_lam.append((a[at][:, None] + h * x).ravel())
+        out_w.append((h * (ws * dx)).ravel())
+    edge, lam, w = (np.concatenate(x) for x in (out_edge, out_lam, out_w))
+    order = np.lexsort((lam, edge))
+    return edge[order], lam[order], w[order]
+
+
+def _quadrature(ell, size, graded):
+    """Gauss nodes on every edge of a polygon of area size^2.
+
+    ell holds the edge lengths (edge i runs from vertex i to i + 1) and
+    graded flags the vertices that carry a corner function.  An edge with
+    a graded end is split at its midpoint and each half graded towards its
+    graded end.  Returns (edge, lam, weight): the edge of each node, its
+    position along the edge (0 at vertex edge, 1 at the next vertex) and
+    its arclength weight.  Nodes are ordered by edge and position.
+    """
     counts = np.ceil(GAUSS_MIN + GAUSS_SLOPE * DEGREE * ell / size)
     counts = np.minimum(counts, DEGREE + 1).astype(int)
-    edge = np.repeat(np.arange(len(v)), counts)
-    offset = np.arange(len(edge)) - np.repeat(np.cumsum(counts) - counts,
-                                              counts)
-    lam = np.empty(len(edge))
-    weight = np.empty(len(edge))
-    for n in np.unique(counts):
-        x, w = _gauss(n)
-        at = counts[edge] == n
-        lam[at] = x[offset[at]]
-        weight[at] = w[offset[at]]
-    return edge, lam, weight * ell[edge]
+    start, end = graded, np.roll(graded, -1)
+    split = start | end
+    whole = np.flatnonzero(~split)
+    halves = np.flatnonzero(split)
+    half = np.ceil(GAUSS_MIN + GAUSS_SLOPE * DEGREE * ell / (2 * size))
+    half = np.minimum(half, DEGREE + 1).astype(int)
+    graded_n = np.ceil(GAUSS_MIN + GAUSS_SLOPE * DEGREE * 2 * ell / size)
+    graded_n = np.minimum(graded_n, GRADING * DEGREE + 1).astype(int)
+    n_lo = np.where(start, graded_n, half)[halves]
+    n_hi = np.where(end, graded_n, half)[halves]
+    zeros, ones = np.zeros(len(halves)), np.ones(len(halves))
+    edge, lam, w = _panel_nodes(
+        np.concatenate([whole, halves, halves]),
+        np.concatenate([np.zeros(len(whole)), zeros, 0.5 * ones]),
+        np.concatenate([np.ones(len(whole)), 0.5 * ones, ones]),
+        np.concatenate([counts[whole], n_lo, n_hi]),
+        np.concatenate([np.zeros(len(whole), dtype=int),
+                        -start[halves].astype(int),
+                        end[halves].astype(int)]))
+    return edge, lam, w * ell[edge]
 
 
 def _arnoldi(zeta, w):
     """Polynomials q_0..q_DEGREE orthonormal in sum_i w_i q(zeta_i) conj(.)
     and their derivatives, at the nodes zeta.
 
-    q_{k+1} is zeta q_k orthogonalized against q_0..q_k (classical
-    Gram-Schmidt, twice), so zeta q_k = sum_j H[j, k] q_j.  Differentiating
-    that recurrence gives q_k' = sum_j T[j, k] q_j with T strictly upper
-    triangular, built from H alone.
+    q_{k+1} is zeta q_k orthogonalized against q_0..q_k (one classical
+    Gram-Schmidt pass: a second leaves the basis's condition unchanged,
+    and _r_factor orthonormalizes it anyway), so zeta q_k = sum_j H[j, k]
+    q_j.  Differentiating that recurrence gives q_k' = sum_j T[j, k] q_j
+    with T strictly upper triangular, built from H alone.
     """
     Q = np.empty((len(zeta), DEGREE + 1), dtype=complex)
     H = np.zeros((DEGREE + 1, DEGREE + 1), dtype=complex)
     Q[:, 0] = 1.0 / np.sqrt(w.sum())
     for k in range(DEGREE):
         q = zeta * Q[:, k]
-        for _ in range(2):
-            h = np.conj((w * q).conj() @ Q[:, :k + 1])
-            q -= Q[:, :k + 1] @ h
-            H[:k + 1, k] += h
+        h = np.conj((w * q).conj() @ Q[:, :k + 1])
+        q -= Q[:, :k + 1] @ h
+        H[:k + 1, k] = h
         H[k + 1, k] = np.sqrt(w @ (q.real ** 2 + q.imag ** 2))
         Q[:, k + 1] = q / H[k + 1, k]
     # q_k + zeta q_k' = sum_j H[j, k] q_j'
@@ -117,65 +209,210 @@ def _arnoldi(zeta, w):
     return Q, Q @ T
 
 
+def _corners(z, dz, orient):
+    """Vertices that get a corner function: flags per vertex, indices, and
+    per corner gamma = pi / alpha, the integer n nearest gamma (1, or 0
+    past a re-entrant turn of 90 degrees) and the unit complex direction
+    of the interior bisector."""
+    turn = orient * np.angle(dz / np.roll(dz, 1))
+    graded = (turn < -REENTRANT_MIN_TURN) | (
+        (turn > CONVEX_MIN_TURN) & (turn <= CONVEX_MAX_TURN))
+    at = np.flatnonzero(graded)
+    gamma = np.pi / (np.pi - turn[at])
+    n = (gamma >= 0.5).astype(float)
+    bisector = dz[at] / np.abs(dz[at]) * np.exp(
+        0.5j * orient * (np.pi - turn[at]))
+    return graded, at, gamma, n, bisector
+
+
+def _corner_blocks(nodes, zc, gamma, n, rho):
+    """f_c = (w^gamma - w^n) / (gamma - n) at the nodes, for blocks of
+    CORNER_BLOCK corners, with w = (z - z_c) rho on the principal branch,
+    which puts the cut on the exterior bisector when rho is 1 over the
+    interior bisector's direction (times a length scale).
+
+    Yields (cols, w, log w, w^gamma, w^n, f, f') with complex arrays of
+    one column per corner of the block cols.  The basis function is
+    Im f_c; subtracting the polynomial w^n keeps it well conditioned as
+    gamma nears n (f_c -> w^n log w).  Blocks bound the memory.
+    """
+    for lo in range(0, len(zc), CORNER_BLOCK):
+        cols = slice(lo, lo + CORNER_BLOCK)
+        g, nn = gamma[cols], n[cols]
+        w = (nodes[:, None] - zc[cols]) * rho[cols]
+        # log w and w^(gamma - 1) through real parts: numpy's complex log
+        # and exp take three times as long
+        logw = np.empty_like(w)
+        logw.real = 0.5 * np.log(w.real ** 2 + w.imag ** 2)
+        logw.imag = np.arctan2(w.imag, w.real)
+        mag = np.exp((g - 1.0) * logw.real)
+        arg = (g - 1.0) * logw.imag
+        e = np.empty_like(w)
+        e.real = mag * np.cos(arg)
+        e.imag = mag * np.sin(arg)
+        wg = w * e
+        wn = np.where(nn == 1.0, w, 1.0)
+        eps = g - nn
+        yield cols, w, logw, wg, wn, (wg - wn) / eps, (g * e - nn) / eps
+
+
+def _r_factor(X):
+    """Upper triangular R with X^T X = R^T R, by Cholesky QR twice: two
+    Gram products instead of a Householder QR, as accurate for
+    cond(X) < 1e7 (the ascents' bases stay below 1e6)."""
+    try:
+        R = cholesky(X.T @ X)
+        Y = solve_triangular(R, X.T, trans="T")        # (X R^-1)^T
+        return cholesky(Y @ Y.T) @ R
+    except LinAlgError as exc:
+        raise SolverFailure("boundary mass matrix singular on the harmonic "
+                            "basis") from exc
+
+
+def _samples(edge, lam, w, u, un, ut, nodes, tau, corners, coef, sigma,
+             dz, orient):
+    """BoundarySamples of the Ritz vectors, given their values u, normal
+    derivatives un and the tangential derivatives ut of their polynomial
+    part; coef holds their corner functions' coefficients.
+
+    Adds the corner part of ut and, as basis_motion, the vertex-velocity
+    weights of the first-order change of the trial space for every pair
+    of Ritz vectors: an array (m+1, m+1, n_vertices, 2).
+
+    Corner function c moves with its vertex (translation), with the
+    bisector of its two edges (rotation) and with their turn (gamma).
+    Along such a change d phi the pair (a, b) form moves by
+    int d u_a (d_n u_b - s u_b) + d u_b (d_n u_a - s u_a) ds, s the pair's
+    mean eigenvalue, by Green's identity for the harmonic d u; the
+    polynomial span is invariant, and so is the span under the scale of w.
+    """
+    at, zc, gamma, n, rho = corners
+    nv, nm = len(dz), len(sigma)
+    W = np.zeros((nv, 2, nm, nm))
+    if len(at) == 0:
+        return BoundarySamples(edge=edge, lam=lam, weight=w, u=u, ut=ut,
+                               un=un, basis_motion=W.transpose(2, 3, 0, 1))
+    ut = ut.copy()
+    wr = w[:, None] * (un - u * sigma)
+    wu = w[:, None] * u
+    K = np.empty((4, len(at), nm))
+    L = np.empty((4, len(at), nm))
+    for cols, zw, logw, wg, wn, f, df in _corner_blocks(nodes, zc, gamma, n,
+                                                         rho):
+        g = gamma[cols]
+        ut += (df * (rho[cols] * tau[:, None])).imag @ coef[cols]
+        ddz = -df * rho[cols]                           # d f / d z_c
+        for p, fn in enumerate((
+                ddz.imag, ddz.real,                     # d / d (x_c, y_c)
+                -(g * f + wn).real,                     # d / d bisector
+                ((wg * logw - f) / (g - n[cols])).imag)):  # d / d gamma
+            K[p, cols] = fn.T @ wr
+            L[p, cols] = fn.T @ wu
+    half_gap = 0.5 * (sigma[None, :] - sigma[:, None])      # [a, b]
+    H = coef[None, :, :, None] * (K[:, :, None, :]
+                                  + half_gap[None, None] * L[:, :, None, :])
+    G = H + H.transpose(0, 1, 3, 2)          # (param, corner, a, b)
+    # edge angle theta_e moves by perp_e . (V_{e+1} - V_e); the bisector
+    # angle is the mean of the corner's two edge angles and the turn is
+    # orient times their difference, with d gamma = gamma^2 / pi d turn
+    perp = np.column_stack([-dz.imag, dz.real]) / (np.abs(dz) ** 2)[:, None]
+    dgamma = orient * gamma ** 2 / np.pi
+    out_coef = 0.5 * G[2] + dgamma[:, None, None] * G[3]
+    in_coef = 0.5 * G[2] - dgamma[:, None, None] * G[3]
+    np.add.at(W, at, np.stack([G[0], G[1]], axis=1))
+    for e, a in ((at, out_coef), ((at - 1) % nv, in_coef)):
+        term = perp[e][:, :, None, None] * a[:, None]
+        np.add.at(W, (e + 1) % nv, term)
+        np.add.at(W, e, -term)
+    return BoundarySamples(edge=edge, lam=lam, weight=w, u=u, ut=ut, un=un,
+                           basis_motion=W.transpose(2, 3, 0, 1))
+
+
 def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
     """The m+1 smallest Steklov Ritz pairs of the polygon b.
 
     Either orientation of the vertex loop is accepted.  Raises
     SelfIntersection for a polygon that is not simple, and SolverFailure
     when the quadrature does not resolve the basis (the boundary form A
-    is not symmetric to ANTISYMMETRY_TOL) or when B is numerically
-    singular on the basis.
+    is not symmetric to ANTISYMMETRY_TOL), when B is numerically singular
+    on the basis, or when an eigenpair leaves a boundary residual
+    ||d_n u - sigma u|| above RESIDUAL_TOL sigma.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     check_simple(b)
-    nbasis = 2 * DEGREE + 1
-    if m + 1 > nbasis:
-        raise SolverFailure(f"{m + 1} eigenpairs requested from a basis "
-                            f"of {nbasis} harmonic polynomials")
     v = b.vertices
     area = b.area()
-    edge, lam, w = _quadrature(v, np.sqrt(abs(area)))
+    orient = 1.0 if area > 0 else -1.0
+    size = np.sqrt(abs(area))
     z = v[:, 0] + 1j * v[:, 1]
     dz = np.roll(z, -1) - z
-    tau = dz / np.abs(dz)
+    ell = np.abs(dz)
+    tau = dz / ell
+    graded, at, gamma, n, bisector = _corners(z, dz, orient)
+    npoly = 2 * DEGREE + 1
+    nbasis = npoly + len(at)
+    if m + 1 > nbasis:
+        raise SolverFailure(f"{m + 1} eigenpairs requested from a basis "
+                            f"of {nbasis} harmonic functions")
+    edge, lam, w = _quadrature(ell, size, graded)
     nodes = z[edge] + lam * dz[edge]
+    tau_q = tau[edge]
     center = z.mean()
     scale = np.max(np.abs(z - center))
+    corners = (at, z[at], gamma, n, 1.0 / (bisector * scale))
+    # X and Xn hold the basis Re q_0, Re q_1..q_M, Im q_1..q_M and the
+    # corner functions, and their outward normal derivatives, times the
+    # square roots of the weights.  Along a unit direction e the
+    # derivatives of Re q and Im q are Re and Im of q'(z) e, and the
+    # outward normal of a counterclockwise loop is -i tau.
     Q, D = _arnoldi((nodes - center) / scale, w)
-    # basis Re q_0, Re q_1..q_M, Im q_1..q_M; along a unit direction e the
-    # derivatives of Re q and Im q are Re and Im of q'(z) e, and the outward
-    # normal of a counterclockwise loop is -i tau
-    G = D[:, 1:] * (tau[edge] / scale)[:, None]
-    orient = 1.0 if area > 0 else -1.0
-    phi = np.empty((len(nodes), nbasis))
-    phi[:, 0] = Q[:, 0].real
-    phi[:, 1:DEGREE + 1] = Q[:, 1:].real
-    phi[:, DEGREE + 1:] = Q[:, 1:].imag
-    phi_n = np.empty_like(phi)
-    phi_n[:, 0] = 0.0
-    phi_n[:, 1:DEGREE + 1] = orient * G.imag
-    phi_n[:, DEGREE + 1:] = -orient * G.real
+    G = D[:, 1:] * (tau_q / scale)[:, None]
+    X = np.empty((len(nodes), nbasis))
+    X[:, 0] = Q[:, 0].real
+    X[:, 1:DEGREE + 1] = Q[:, 1:].real
+    X[:, DEGREE + 1:npoly] = Q[:, 1:].imag
+    del Q, D
+    Xn = np.empty_like(X)
+    Xn[:, 0] = 0.0
+    Xn[:, 1:DEGREE + 1] = orient * G.imag
+    Xn[:, DEGREE + 1:npoly] = -orient * G.real
+    for cols, _, _, _, _, f, df in _corner_blocks(nodes, *corners[1:]):
+        at_cols = slice(npoly + cols.start, npoly + cols.stop)
+        X[:, at_cols] = f.imag
+        Xn[:, at_cols] = -orient * (df * (corners[4][cols]
+                                          * tau_q[:, None])).real
+    root = np.sqrt(w)[:, None]
+    X *= root
+    Xn *= root
 
-    A = phi.T @ (w[:, None] * phi_n)
+    A = X.T @ Xn
     skew = np.linalg.norm(A - A.T) / np.linalg.norm(A)
     if not skew <= ANTISYMMETRY_TOL:
         raise SolverFailure(
             f"boundary quadrature under-resolved for degree {DEGREE}: "
             f"||A - A^T|| / ||A|| = {skew:.1e} > {ANTISYMMETRY_TOL:.0e} "
             f"with {len(nodes)} Gauss nodes on {len(v)} edges")
-    R = np.linalg.qr(np.sqrt(w)[:, None] * phi, mode="r")
+    R = _r_factor(X)
     rdiag = np.abs(np.diag(R))
     if rdiag.min() <= 1e-13 * rdiag.max():
         raise SolverFailure("boundary mass matrix singular on the harmonic "
-                            "polynomial basis")
+                            "basis")
     # B = R^T R, so the pencil (A, B) becomes R^-T A R^-1 with A symmetrized
-    X = solve_triangular(R, A + A.T, trans="T")
-    C = solve_triangular(R, X.T, trans="T")
+    Y = solve_triangular(R, A + A.T, trans="T")
+    C = solve_triangular(R, Y.T, trans="T")
     sigma, Y = eigh(0.25 * (C + C.T), subset_by_index=(0, m))
     coef = solve_triangular(R, Y)
-    # u = Re sum_k (a_k - i b_k) q_k with a, b the Re and Im coefficients
-    grad = G @ (coef[1:DEGREE + 1] - 1j * coef[DEGREE + 1:])
-    samples = BoundarySamples(edge=edge, lam=lam, weight=w, u=phi @ coef,
-                              ut=grad.real, un=orient * grad.imag)
-    return HarmonicSpectrum(eigenvalues=sigma, samples=samples)
+    u, un = (X @ coef) / root, (Xn @ coef) / root
+    res = np.sqrt(w @ (un - u * sigma) ** 2)
+    rel = res / np.maximum(sigma, 1.0 / size)
+    if not np.all(rel <= RESIDUAL_TOL):
+        j = int(np.argmax(rel))
+        raise SolverFailure(
+            f"eigenfunction {j} not resolved: ||d_n u - sigma u|| / sigma "
+            f"= {rel[j]:.2f} > {RESIDUAL_TOL} with {len(at)} corner "
+            f"functions on {len(v)} vertices")
+    ut = (G @ (coef[1:DEGREE + 1] - 1j * coef[DEGREE + 1:npoly])).real
+    return HarmonicSpectrum(sigma, partial(
+        _samples, edge, lam, w, u, un, ut, nodes, tau_q, corners,
+        coef[npoly:], sigma, dz, orient))

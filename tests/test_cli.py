@@ -12,7 +12,7 @@ from steklovmax.cli import (RunConfig, main, parse_config, read_config_file,
                             run)
 from steklovmax.errors import ConfigError
 
-FAST = ["--n-angles", "100", "--mesh-h-factor", "0.1"]
+FAST = ["--n-angles", "100"]
 
 
 def test_defaults():
@@ -21,7 +21,6 @@ def test_defaults():
     assert ks == [1]
     assert cfg.n_angles == 200
     assert cfg.diameter == 2.0
-    assert cfg.mesh_h_factor == 0.05
 
 
 def test_flag_parsing():
@@ -133,7 +132,7 @@ def test_determinism_bit_identical(tmp_path):
 
 def test_optimize_convex_quick(tmp_path):
     cfg = RunConfig(mode="optimize-convex", k=1, n_angles=60,
-                    mesh_h_factor=0.1, max_iters=5, out_dir=str(tmp_path))
+                    max_iters=5, out_dir=str(tmp_path))
     # restarts are baked into OptimOptions defaults; a short run is enough
     payload = run(cfg)
     assert payload["objective"] > 2.0
@@ -144,7 +143,7 @@ def test_optimize_convex_quick(tmp_path):
 
 def test_optimize_nonconvex_quick(tmp_path):
     cfg = RunConfig(mode="optimize-nonconvex", k=1, n_angles=60,
-                    mesh_h_factor=0.1, max_iters=5, out_dir=str(tmp_path))
+                    max_iters=5, out_dir=str(tmp_path))
     payload = run(cfg)
     assert "graphs" in payload
     assert payload["diameter"] <= 2.0 * (1 + 1e-3)
@@ -152,7 +151,7 @@ def test_optimize_nonconvex_quick(tmp_path):
 
 def test_experiment_bound_mode(tmp_path):
     cfg = RunConfig(mode="experiment:bound", k=1, n_angles=100,
-                    mesh_h_factor=0.1, out_dir=str(tmp_path))
+                    out_dir=str(tmp_path))
     payload = run(cfg)
     assert payload["passed"]
 

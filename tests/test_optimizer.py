@@ -8,12 +8,11 @@ from steklovmax import (AngleGrid, OptimOptions, SupportVector, ascend,
                         disk_support)
 import steklovmax
 from steklovmax import fem, meshing, optimize
-from steklovmax.errors import (MeshFailure, NoAscent, ProjectionFailure,
-                               SolverFailure)
+from steklovmax.errors import NoAscent, ProjectionFailure, SolverFailure
 from steklovmax.graphs import GraphPair
 from steklovmax.optimize import project_graphs
 
-FAST = dict(n_angles=60, max_iters=8, restarts=0, mesh_h_factor=0.1)
+FAST = dict(n_angles=60, max_iters=8, restarts=0)
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +109,7 @@ def test_initial_mismatch_rejected():
 
 
 def test_determinism_same_seed():
-    opts = OptimOptions(k=1, n_angles=60, max_iters=4, restarts=1,
-                        mesh_h_factor=0.1, seed=5)
+    opts = OptimOptions(k=1, n_angles=60, max_iters=4, restarts=1, seed=5)
     s1 = ascend(disk_support(opts), opts)
     s2 = ascend(disk_support(opts), opts)
     assert np.array_equal(s1.variables.p, s2.variables.p)
@@ -146,11 +144,11 @@ def test_trial_failure_rejects_step(monkeypatch, target, error):
 
 def test_rejected_start_raises_no_ascent(monkeypatch):
     def broken(p, opts):
-        raise MeshFailure("injected")
+        raise SolverFailure("injected")
 
     monkeypatch.setattr(optimize, "evaluate_support", broken)
     opts = OptimOptions(k=1, **FAST)
-    with pytest.raises(NoAscent, match="MeshFailure"):
+    with pytest.raises(NoAscent, match="SolverFailure"):
         ascend(disk_support(opts), opts)
 
 
@@ -163,7 +161,7 @@ def test_rejected_restart_is_skipped(monkeypatch):
     def evaluate(p, opts):
         if failed:
             failed.append(1)
-            raise MeshFailure("injected")
+            raise SolverFailure("injected")
         return real(p, opts)
 
     def callback(it, x, ev):
