@@ -129,9 +129,10 @@ def assemble(space: FEMSpace):
     nt = len(tris)
     kloc = np.zeros((nt, nloc, nloc))
     for q in range(len(qw)):
-        # physical gradients: invT @ gref / det
-        g = np.einsum("tij,nj->tni", invT, gref[q]) / det[:, None, None]
-        kloc += qw[q] * np.abs(det)[:, None, None] * np.einsum("tni,tmi->tnm", g, g)
+        # physical gradients (invT @ gref / det) and their Gram matrices,
+        # both batched matmuls
+        g = gref[q] @ invT.transpose(0, 2, 1) / det[:, None, None]
+        kloc += qw[q] * np.abs(det)[:, None, None] * (g @ g.transpose(0, 2, 1))
 
     rows = np.repeat(space.cell_dofs, nloc, axis=1).ravel()
     cols = np.tile(space.cell_dofs, (1, nloc)).ravel()

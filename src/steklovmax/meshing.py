@@ -4,15 +4,17 @@ Pipeline: subdivide the boundary to the target edge length, seed the
 interior with a staggered hex grid, triangulate the seeds once and run
 Laplacian smoothing passes over that fixed neighbour graph, then run a
 Ruppert-style refinement loop (circumcenter insertion with
-diametral-circle segment splitting) that re-triangulates once per round
-until the quality targets hold.  Delaunay connectivity comes from scipy
-(Qhull); constraint recovery and refinement are done here.
+diametral-circle segment splitting) until the quality targets hold.  The
+loop triangulates the smoothed points once; each later round inserts only
+its new points into that triangulation (Bowyer-Watson insertion).
+Delaunay connectivity comes from scipy (Qhull); constraint recovery and
+refinement are done here.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import ConvexHull, Delaunay, cKDTree
 
 from .errors import DegenerateBoundary, MeshFailure, SelfIntersection
 from .geometry import BoundaryPolyline
@@ -322,9 +324,51 @@ def _hex_seeds(poly, spacing, clear):
     return pts[clear(pts)]
 
 
+class _IncrementalDelaunay:
+    """Delaunay triangulation that new points are inserted into
+    (Bowyer-Watson, through Qhull); points are numbered in insertion order.
+
+    It is the lower convex hull of the points lifted to the paraboloid
+    z = x^2 + y^2 together with a point above it, the one Qhull's own
+    Delaunay mode adds with its option Qz.  scipy's incremental Delaunay
+    refuses Qz, and without that point all-cocircular input (a coarse
+    regular polygon) leaves a flat upper facet that later insertions fail
+    on with a Qhull precision error.  Inserted points must lie in the
+    convex hull of the first ones, so that their lift stays below it.
+    """
+
+    def __init__(self, pts):
+        lifted = _lift(pts)
+        top = np.append(pts.mean(axis=0), 1.1 * lifted[:, 2].max())
+        # the rest of scipy's Delaunay defaults; it refuses Qbb too
+        self.hull = ConvexHull(np.vstack([top, lifted]), incremental=True,
+                               qhull_options="Qc Q12")
+
+    @property
+    def npoints(self):
+        return self.hull.npoints - 1
+
+    def add_points(self, pts):
+        self.hull.add_points(_lift(pts))
+
+    def simplices(self):
+        """Triangles of the lower hull, the top point (index 0) left out."""
+        simp = self.hull.simplices[self.hull.equations[:, 2] < 0]
+        return simp[np.all(simp > 0, axis=1)] - 1
+
+    def close(self):
+        self.hull.close()
+
+
+def _lift(pts):
+    """Points (x, y) lifted to (x, y, x^2 + y^2)."""
+    return np.column_stack((pts, np.sum(pts * pts, axis=1)))
+
+
 def _split_segments(bnd, owner, split):
     """Boundary chain with a midpoint node inserted on every segment
-    (i, i+1) with split[i]; returns (nodes, owner) as _subdivide_chain."""
+    (i, i+1) with split[i]; returns (nodes, owner) as _subdivide_chain,
+    and the np.insert positions of the midpoints."""
     # polyline edge containing each chain segment (i, i+1): the edge of
     # node i when i is a subdivision node, else the edge leaving the
     # original vertex at position i
@@ -332,7 +376,7 @@ def _split_segments(bnd, owner, split):
     s = np.nonzero(split)[0]
     mids = 0.5 * (bnd[s] + bnd[(s + 1) % len(bnd)])
     return (np.insert(bnd, s + 1, mids, axis=0),
-            np.insert(owner, s + 1, edge_of[s]))
+            np.insert(owner, s + 1, edge_of[s]), s + 1)
 
 
 def _chain_keys(nb, n):
@@ -373,10 +417,9 @@ def triangulate(b: BoundaryPolyline, target_h: float,
     min_split = 2.0 * merge_tol
     min_angle = np.radians(min_angle_deg)
 
-    def delaunay_inside(bpts, ipts):
-        pts = np.vstack([bpts, ipts]) if len(ipts) else bpts.copy()
-        tri = Delaunay(pts)
-        simp = tri.simplices
+    def delaunay_inside(pts, simp):
+        """The Delaunay triangles simp of pts inside the polygon, less
+        slivers, in ccw orientation."""
         # drop degenerate slivers (collinear triples on flat boundary runs)
         e1 = pts[simp[:, 1]] - pts[simp[:, 0]]
         e2 = pts[simp[:, 2]] - pts[simp[:, 0]]
@@ -392,7 +435,7 @@ def triangulate(b: BoundaryPolyline, target_h: float,
         cr = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         flip = cr < 0
         keep[flip] = keep[flip][:, [0, 2, 1]]
-        return pts, keep
+        return keep
 
     # smoothing phase: Laplacian smoothing over the neighbour graph of one
     # triangulation of the seeds; each pass moves an interior point to the
@@ -400,7 +443,8 @@ def triangulate(b: BoundaryPolyline, target_h: float,
     # unless that leaves the polygon or comes within 0.5 * spacing of its
     # boundary
     if len(interior):
-        _, keep = delaunay_inside(bnd, interior)
+        pts = np.vstack([bnd, interior])
+        keep = delaunay_inside(pts, Delaunay(pts).simplices)
         nb = len(bnd)
         # the six directed edges (src -> dst) of every triangle
         src = keep[:, [0, 0, 1, 1, 2, 2]].ravel()
@@ -418,63 +462,93 @@ def triangulate(b: BoundaryPolyline, target_h: float,
             ok = points_in_polygon(new, poly) & clear(new)
             interior[ok] = new[ok]
 
-    for _ in range(60):
-        if len(bnd) + len(interior) > vertex_budget:
-            raise MeshFailure("vertex budget exceeded")
-        pts, keep = delaunay_inside(bnd, interior)
-        nb = len(bnd)
+    # refinement: smoothing moved every interior point, so the first round
+    # triangulates afresh, into an incremental triangulation that later
+    # rounds insert only their new points into.  It numbers points in
+    # insertion order: qb and qi hold that number for each chain node and
+    # interior point, -1 until inserted.
+    tri = _IncrementalDelaunay(np.vstack([bnd, interior]))
+    qb = np.arange(len(bnd))
+    qi = len(bnd) + np.arange(len(interior))
+    try:
+        for _ in range(60):
+            if len(bnd) + len(interior) > vertex_budget:
+                raise MeshFailure("vertex budget exceeded")
+            pts = np.vstack([bnd, interior])
+            nb = len(bnd)
+            q = np.concatenate([qb, qi])
+            new = q < 0
+            if new.any():
+                q[new] = tri.npoints + np.arange(np.count_nonzero(new))
+                tri.add_points(pts[new])
+                qb, qi = q[:nb], q[nb:]
+            node = np.empty_like(q)
+            node[q] = np.arange(len(q))
+            simp = node[tri.simplices()]
+            keep = delaunay_inside(pts, simp)
 
-        # boundary recovery: every chain segment must appear as a kept edge
-        missing = ~np.isin(_chain_keys(nb, len(pts)),
-                           edge_keys(keep, np.roll(keep, -1, axis=1), len(pts)))
-        if missing.any():
-            bnd, owner = _split_segments(bnd, owner, missing)
-            continue
+            # boundary recovery: every chain segment must appear as a kept
+            # edge
+            missing = ~np.isin(_chain_keys(nb, len(pts)),
+                               edge_keys(keep, np.roll(keep, -1, axis=1),
+                                         len(pts)))
+            if missing.any():
+                bnd, owner, at = _split_segments(bnd, owner, missing)
+                qb = np.insert(qb, at, -1)
+                continue
 
-        # quality pass
-        angles, emax, emin = _triangle_quality(pts, keep)
-        bad = (angles < min_angle) | (emax > target_h)
-        # skip triangles whose smallest feature is already at merge scale
-        bad &= emin > min_split
-        if not bad.any():
-            break
+            # quality pass
+            angles, emax, emin = _triangle_quality(pts, keep)
+            bad = (angles < min_angle) | (emax > target_h)
+            # skip triangles whose smallest feature is already at merge
+            # scale
+            bad &= emin > min_split
+            if not bad.any():
+                break
 
-        idx = np.argsort(angles)
-        idx = idx[bad[idx]][:64]
-        centers = _circumcenters(pts, keep[idx])
-        radii = np.linalg.norm(centers - pts[keep[idx, 0]], axis=1)
+            idx = np.argsort(angles)
+            idx = idx[bad[idx]][:64]
+            centers = _circumcenters(pts, keep[idx])
+            radii = np.linalg.norm(centers - pts[keep[idx, 0]], axis=1)
 
-        # circumcenter insertion with diametral-circle encroachment: a
-        # center inside a chain segment's diametral circle splits that
-        # segment instead (standard Ruppert rule); the Delaunay empty-circle
-        # property keeps inserted centers away from existing points, so the
-        # only spacing filter needed is among this batch of candidates,
-        # relative to each candidate's own circumradius (grading-aware)
-        mids = 0.5 * (bnd + np.roll(bnd, -1, axis=0))
-        rads = 0.5 * np.linalg.norm(np.roll(bnd, -1, axis=0) - bnd, axis=1)
-        seg_ok = 2.0 * rads > min_split
-        enc = (np.linalg.norm(mids - centers[:, None], axis=2) < rads) & seg_ok
-        free = points_in_polygon(centers, poly) & ~enc.any(axis=1)
-        tree = cKDTree(np.vstack([bnd, interior]) if len(interior) else bnd)
-        free[free] = tree.query(centers[free])[0] > 0.25 * radii[free]
-        split = np.zeros(nb, dtype=bool)
-        accepted = []
-        for c, r, hit, ok in zip(centers, radii, enc, free):
-            if hit.any():
-                split[np.nonzero(hit)[0][:2]] = True
-            elif ok and not (accepted and np.min(np.linalg.norm(
-                    np.asarray(accepted) - c, axis=1)) <= 0.5 * r):
-                accepted.append(c)
+            # circumcenter insertion with diametral-circle encroachment: a
+            # center inside a chain segment's diametral circle splits that
+            # segment instead (standard Ruppert rule); the Delaunay
+            # empty-circle property keeps inserted centers away from
+            # existing points, so the only spacing filter needed is among
+            # this batch of candidates, relative to each candidate's own
+            # circumradius (grading-aware)
+            mids = 0.5 * (bnd + np.roll(bnd, -1, axis=0))
+            rads = 0.5 * np.linalg.norm(np.roll(bnd, -1, axis=0) - bnd, axis=1)
+            seg_ok = 2.0 * rads > min_split
+            enc = ((np.linalg.norm(mids - centers[:, None], axis=2) < rads)
+                   & seg_ok)
+            free = points_in_polygon(centers, poly) & ~enc.any(axis=1)
+            tree = cKDTree(pts)
+            free[free] = tree.query(centers[free])[0] > 0.25 * radii[free]
+            split = np.zeros(nb, dtype=bool)
+            accepted = []
+            for c, r, hit, ok in zip(centers, radii, enc, free):
+                if hit.any():
+                    split[np.nonzero(hit)[0][:2]] = True
+                elif ok and not (accepted and np.min(np.linalg.norm(
+                        np.asarray(accepted) - c, axis=1)) <= 0.5 * r):
+                    accepted.append(c)
 
-        if accepted:
-            cand = np.asarray(accepted)
-            interior = np.vstack([interior, cand]) if len(interior) else cand
-        if split.any():
-            bnd, owner = _split_segments(bnd, owner, split)
-        elif not accepted:
-            break
-    else:
-        raise MeshFailure("refinement did not converge")
+            if accepted:
+                cand = np.asarray(accepted)
+                interior = (np.vstack([interior, cand]) if len(interior)
+                            else cand)
+                qi = np.concatenate([qi, np.full(len(cand), -1)])
+            if split.any():
+                bnd, owner, at = _split_segments(bnd, owner, split)
+                qb = np.insert(qb, at, -1)
+            elif not accepted:
+                break
+        else:
+            raise MeshFailure("refinement did not converge")
+    finally:
+        tri.close()
 
     if not _boundary_is_chain(keep, len(bnd), len(pts)):
         raise MeshFailure("boundary of triangulation is not the chain")

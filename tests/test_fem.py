@@ -223,6 +223,53 @@ def test_boundary_mass_matches_oracle(b, order):
     assert B.data.tobytes() == ref.data.tobytes()
 
 
+def stiffness_oracle(space):
+    """K assembled with the local stiffness of every quadrature point
+    taken by two einsums (gradients, then their Gram matrices)."""
+    tris, v = space.mesh.triangles, space.mesh.vertices
+    a = v[tris[:, 0]]
+    e1 = v[tris[:, 1]] - a
+    e2 = v[tris[:, 2]] - a
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    invT = np.empty((len(tris), 2, 2))
+    invT[:, 0, 0] = e2[:, 1]
+    invT[:, 0, 1] = -e1[:, 1]
+    invT[:, 1, 0] = -e2[:, 0]
+    invT[:, 1, 1] = e1[:, 0]
+    if space.order == 1:
+        gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])[None, :, :]
+        qw = np.array([0.5])
+    else:
+        gref = np.stack([fem._p2_grads(x, y) for x, y in fem._QP])
+        qw = fem._QW
+    nloc = gref.shape[1]
+    kloc = np.zeros((len(tris), nloc, nloc))
+    for q in range(len(qw)):
+        g = np.einsum("tij,nj->tni", invT, gref[q]) / det[:, None, None]
+        kloc += (qw[q] * np.abs(det)[:, None, None]
+                 * np.einsum("tni,tmi->tnm", g, g))
+    rows = np.repeat(space.cell_dofs, nloc, axis=1).ravel()
+    cols = np.tile(space.cell_dofs, (1, nloc)).ravel()
+    return sp.coo_matrix((kloc.ravel(), (rows, cols)),
+                         shape=(space.dof_count, space.dof_count)).tocsr()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("b", [ellipse_boundary(100), wavy_boundary(),
+                               two_graph_boundary()],
+                         ids=["ellipse", "wavy", "two-graph"])
+def test_stiffness_matches_oracle(b, order):
+    space = build_space(triangulate(b, 0.1), order)
+    K, _ = assemble(space)
+    ref = stiffness_oracle(space)
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    # P2 couplings that cancel to zero get an absolute floor at the same
+    # relative size
+    np.testing.assert_allclose(K.data, ref.data, rtol=1e-13,
+                               atol=1e-13 * np.abs(ref.data).max())
+
+
 def schur_oracle(space, K, B):
     """Complete spectrum of the dense Dirichlet-to-Neumann pencil: interior
     dofs eliminated by the Schur complement S = K_bb - K_bi K_ii^-1 K_ib,

@@ -2,19 +2,22 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 import steklovmax.meshing as meshing
 from steklovmax import (AngleGrid, OptimOptions, SupportVector,
-                        reconstruct_boundary, triangulate)
+                        build_constraint_set, project, reconstruct_boundary,
+                        triangulate)
 from steklovmax.cli import _flat_graphs, _flat_support
 from steklovmax.errors import SelfIntersection
 from steklovmax.geometry import BoundaryPolyline
 from steklovmax.graphs import GraphPair
-from steklovmax.meshing import (_boundary_is_chain, _segments_cross,
+from steklovmax.meshing import (MERGE_FRAC, _boundary_is_chain,
+                                _merge_close_vertices, _segments_cross,
                                 _subdivide_chain, _triangle_quality,
                                 check_simple, clear_of_polyline,
                                 points_in_polygon)
-from conftest import two_graph_boundary, wavy_boundary
+from conftest import disk_boundary, two_graph_boundary, wavy_boundary
 
 
 def ellipse(n=100, a=1.0, b=0.6):
@@ -190,23 +193,126 @@ def test_boundary_check_rejects_missing_chain_edge():
     assert not _boundary_is_chain(tris[~holds], nb, n)
 
 
-def test_delaunay_calls_per_mesh(monkeypatch):
-    # one triangulation for all smoothing passes, then one per refinement
-    # round: 4 calls on both flat starts (11 when every pass re-triangulated)
-    calls = []
+def pool_like_boundary():
+    """A convex shape like the benchmark's spectrum pool: the support of
+    the (1, 0.6) ellipse at N = 200 plus small harmonics, projected onto
+    the diameter-2 support polyhedron."""
+    grid = AngleGrid(200)
+    theta = grid.theta
+    p = np.sqrt(np.cos(theta) ** 2 + (0.6 * np.sin(theta)) ** 2)
+    for m, amp, phase in ((2, 0.015, 1.0), (3, -0.01, 2.0), (4, 0.02, 0.5),
+                          (5, 0.012, 4.0)):
+        p = p + amp * np.cos(m * theta + phase)
+    opts = OptimOptions(k=2, n_angles=200)
+    cset = build_constraint_set(200, grid.h, opts.diameter,
+                                opts.p_min_factor * opts.diameter,
+                                opts.convexity_floor_factor * opts.diameter)
+    return reconstruct_boundary(SupportVector(grid, project(p, cset)))
+
+
+def count_triangulations(monkeypatch):
+    """Record the triangulations meshing builds: "fresh" for each scipy
+    Delaunay, "incremental" for each incremental one, and the number of
+    points of each later insertion into it."""
+    built, added = [], []
     delaunay = meshing.Delaunay
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def fresh(*args, **kwargs):
+        built.append("fresh")
         return delaunay(*args, **kwargs)
-    monkeypatch.setattr(meshing, "Delaunay", counted)
-    starts = [reconstruct_boundary(_flat_support(OptimOptions(k=2, n_angles=100))),
+
+    class Incremental(meshing._IncrementalDelaunay):
+        def __init__(self, pts):
+            built.append("incremental")
+            super().__init__(pts)
+
+        def add_points(self, pts):
+            added.append(len(pts))
+            super().add_points(pts)
+    monkeypatch.setattr(meshing, "Delaunay", fresh)
+    monkeypatch.setattr(meshing, "_IncrementalDelaunay", Incremental)
+    return built, added
+
+
+def test_delaunay_calls_per_mesh(monkeypatch):
+    # one triangulation for all smoothing passes and one for the
+    # refinement, which later rounds insert their points into: 2 however
+    # many rounds run (11 when every pass re-triangulated; 4 on the flat
+    # starts and 6-11 on pool-size meshes when every round did)
+    built, added = count_triangulations(monkeypatch)
+    starts = [reconstruct_boundary(_flat_support(OptimOptions(k=2,
+                                                              n_angles=100))),
               _flat_graphs(OptimOptions(k=1, n_angles=100)).polyline()]
     for b in starts:
-        del calls[:]
+        del built[:]
         mesh = triangulate(b, 0.1)
-        assert len(calls) <= 5
+        assert built == ["fresh", "incremental"]
         assert mesh.min_angle_deg() >= 20.0 - 1e-9
+    del built[:], added[:]
+    mesh = triangulate(pool_like_boundary(), 0.035)
+    assert built == ["fresh", "incremental"]
+    assert len(added) >= 4
+    assert mesh.min_angle_deg() >= 20.0 - 1e-9
+
+
+def fresh_inside_triangles(b, mesh):
+    """Sorted index triples of the triangles of a fresh Delaunay of the
+    mesh vertices that the mesher keeps: not slivers, centroid inside the
+    merged polygon."""
+    poly, _ = _merge_close_vertices(b.vertices, MERGE_FRAC * mesh.target_h)
+    pts = mesh.vertices
+    simp = Delaunay(pts).simplices
+    e1 = pts[simp[:, 1]] - pts[simp[:, 0]]
+    e2 = pts[simp[:, 2]] - pts[simp[:, 0]]
+    cr = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    sq = np.maximum(np.sum(e1**2, axis=1), np.sum(e2**2, axis=1))
+    simp = simp[np.abs(cr) > 1e-12 * sq]
+    simp = simp[points_in_polygon(pts[simp].mean(axis=1), poly)]
+    return {tuple(t) for t in np.sort(simp, axis=1)}
+
+
+BOOKKEEPING = [("ellipse", ellipse(100), 0.025),
+               ("wavy", wavy_boundary(), 0.025),
+               ("two-graph", two_graph_boundary(), 0.025),
+               ("disk", disk_boundary(100), 0.025),
+               ("pool-like", pool_like_boundary(), 0.035)]
+
+
+@pytest.mark.parametrize("name,b,h", BOOKKEEPING,
+                         ids=[c[0] for c in BOOKKEEPING])
+def test_incremental_triangles_match_fresh_delaunay(name, b, h):
+    # the refinement rounds insert into one Qhull triangulation whose point
+    # numbering differs from the chain order; mapped back, its triangles
+    # are those of a fresh triangulation of the final vertices
+    mesh = triangulate(b, h)
+    got = {tuple(t) for t in np.sort(mesh.triangles, axis=1)}
+    assert len(got) == len(mesh.triangles)
+    assert got == fresh_inside_triangles(b, mesh)
+
+
+def regular_polygon(n):
+    theta = 2 * np.pi * np.arange(n) / n
+    return BoundaryPolyline(np.column_stack([np.cos(theta), np.sin(theta)]))
+
+
+COCIRCULAR = [("square", BoundaryPolyline(np.array(
+                  [[0, 0], [1, 0], [1, 1], [0, 1]], float))),
+              ("12-gon", regular_polygon(12)),
+              ("disk-100", disk_boundary(100))]
+
+
+@pytest.mark.parametrize("name,b", COCIRCULAR, ids=[c[0] for c in COCIRCULAR])
+def test_cocircular_input_meshes(monkeypatch, name, b):
+    # all boundary nodes on one circle and no interior seeds at h = 10:
+    # without a point above the lifted circle the incremental triangulation
+    # fails on such input (scipy's incremental Delaunay refuses Qz)
+    _, added = count_triangulations(monkeypatch)
+    mesh = triangulate(b, 10.0)
+    assert np.all(mesh.triangle_areas() > 0)
+    assert np.isclose(mesh.triangle_areas().sum(), abs(b.area()), rtol=1e-12)
+    assert mesh.min_angle_deg() >= 20.0 - 1e-9
+    if name == "disk-100":
+        assert len(added) >= 3
 
 
 # Loop versions of the array code in meshing, kept as oracles.
