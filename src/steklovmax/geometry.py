@@ -166,7 +166,8 @@ def compute_diameter(b: BoundaryPolyline, pair_tol: float = PAIR_TOL) -> Diamete
     v = b.vertices
     if len(v) < 2:
         raise DegenerateBoundary("need at least 2 distinct vertices")
-    d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
+    x, y = v[:, 0], v[:, 1]
+    d2 = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2
     diam = float(np.sqrt(d2.max()))
     cut = (diam * (1.0 - pair_tol)) ** 2
     ii, jj = np.nonzero(np.triu(d2 >= cut, k=1))

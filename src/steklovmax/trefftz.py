@@ -12,9 +12,11 @@ evaluated by Gauss quadrature on every edge.  The polynomials come from
 Arnoldi iteration at the quadrature nodes ("Vandermonde with Arnoldi",
 Brubeck, Nakatsukasa and Trefethen, SIAM Review 2021), which keeps the
 basis well conditioned and carries the derivatives p' along.  B is
-factored by a Cholesky QR of the weighted basis values and the pencil is
-solved by one dense symmetric eigensolve.  Ritz values bound the
-polygon's exact eigenvalues from above, up to quadrature error.
+factored by a Cholesky QR of the weighted basis values, one pass for the
+well-conditioned polynomial bases of convex shapes and a second one
+(CholeskyQR2) when corner functions make the basis ill-conditioned, and
+the pencil is solved by one dense symmetric eigensolve.  Ritz values bound
+the polygon's exact eigenvalues from above, up to quadrature error.
 
 At a corner of interior angle alpha the eigenfunctions behave like
 r^gamma cos(gamma theta), gamma = pi / alpha, with theta measured from an
@@ -39,7 +41,7 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
+from scipy.linalg import blas, eigh, lapack
 
 from .errors import SolverFailure
 from .geometry import BoundaryPolyline
@@ -87,6 +89,9 @@ GRADING = 3
 RESIDUAL_TOL = 0.1
 # corner functions are evaluated this many at a time
 CORNER_BLOCK = 16
+# _r_factor stops after one Cholesky QR pass when LAPACK's estimate of
+# cond(R) is at most this: X R^-1 is then orthonormal to eps cond^2 < 1e-11
+ONE_PASS_COND = 1e2
 
 
 @dataclass(frozen=True)
@@ -189,24 +194,36 @@ def _arnoldi(zeta, w):
     and _r_factor orthonormalizes it anyway), so zeta q_k = sum_j H[j, k]
     q_j.  Differentiating that recurrence gives q_k' = sum_j T[j, k] q_j
     with T strictly upper triangular, built from H alone.
+
+    The basis is stored one row per polynomial next to Qw = conj(Q) w, so
+    a step is two contiguous matrix-vector products and no temporaries.
+    Returns (Q, Q T) as views of shape (nodes, DEGREE + 1).
     """
-    Q = np.empty((len(zeta), DEGREE + 1), dtype=complex)
+    Q = np.empty((DEGREE + 1, len(zeta)), dtype=complex)
+    Qw = np.empty_like(Q)
     H = np.zeros((DEGREE + 1, DEGREE + 1), dtype=complex)
-    Q[:, 0] = 1.0 / np.sqrt(w.sum())
+    Q[0] = 1.0 / np.sqrt(w.sum())
+    np.multiply(Q[0], w, out=Qw[0])
+    work = np.empty(len(zeta), dtype=complex)
     for k in range(DEGREE):
-        q = zeta * Q[:, k]
-        h = np.conj((w * q).conj() @ Q[:, :k + 1])
-        q -= Q[:, :k + 1] @ h
+        q, qw = Q[k + 1], Qw[k + 1]
+        np.multiply(zeta, Q[k], out=q)
+        h = Qw[:k + 1] @ q
+        np.matmul(h, Q[:k + 1], out=work)
+        q -= work
+        np.conjugate(q, out=qw)
+        qw *= w
         H[:k + 1, k] = h
-        H[k + 1, k] = np.sqrt(w @ (q.real ** 2 + q.imag ** 2))
-        Q[:, k + 1] = q / H[k + 1, k]
+        H[k + 1, k] = norm = np.sqrt((qw @ q).real)
+        q *= 1.0 / norm
+        qw *= 1.0 / norm
     # q_k + zeta q_k' = sum_j H[j, k] q_j'
     T = np.zeros_like(H)
     for k in range(DEGREE):
         rhs = H @ T[:, k] - T[:, :k + 1] @ H[:k + 1, k]
         rhs[k] += 1.0
         T[:, k + 1] = rhs / H[k + 1, k]
-    return Q, Q @ T
+    return Q.T, (T.T @ Q).T
 
 
 def _corners(z, dz, orient):
@@ -257,16 +274,33 @@ def _corner_blocks(nodes, zc, gamma, n, rho):
 
 
 def _r_factor(X):
-    """Upper triangular R with X^T X = R^T R, by Cholesky QR twice: two
-    Gram products instead of a Householder QR, as accurate for
-    cond(X) < 1e7 (the ascents' bases stay below 1e6)."""
-    try:
-        R = cholesky(X.T @ X)
-        Y = solve_triangular(R, X.T, trans="T")        # (X R^-1)^T
-        return cholesky(Y @ Y.T) @ R
-    except LinAlgError as exc:
+    """Upper triangular R with X^T X = R^T R, by Cholesky QR: R_1 from the
+    Gram matrix of X, and when cond(R_1) exceeds ONE_PASS_COND a second
+    pass on X R_1^-1 (CholeskyQR2, as accurate as a Householder QR for
+    cond(X) < 1e7; the corner functions take the non-convex ascents'
+    bases to 1e4..1e6).  One pass leaves X R^-1 orthonormal to about
+    eps cond(X)^2, so the polynomial bases of convex shapes (cond 2..5)
+    take one.  X is C-contiguous: X.T is the F-contiguous view that the
+    Gram product reads without a copy.
+    """
+    R = _cholesky(blas.dsyrk(1.0, X.T))
+    rcond, _ = lapack.dtrcon(R)
+    if rcond * ONE_PASS_COND >= 1.0:
+        return R
+    # X R_1^-1 as a right-sided solve on an F-ordered copy of X: OpenBLAS
+    # takes about two thirds of the time of the left-sided R_1^-T X^T
+    Y = blas.dtrsm(1.0, R, X, side=1)
+    return blas.dtrmm(1.0, _cholesky(blas.dsyrk(1.0, Y, trans=1)), R)
+
+
+def _cholesky(gram):
+    """Upper Cholesky factor, lower triangle zero, of a Gram matrix whose
+    upper triangle is set; gram is overwritten."""
+    R, info = lapack.dpotrf(gram, overwrite_a=1)
+    if info != 0:
         raise SolverFailure("boundary mass matrix singular on the harmonic "
-                            "basis") from exc
+                            "basis")
+    return R
 
 
 def _samples(edge, lam, w, u, un, ut, nodes, tau, corners, coef, sigma,
@@ -387,6 +421,9 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
     Xn *= root
 
     A = X.T @ Xn
+    # a NaN or inf anywhere in X or Xn makes skew NaN, which fails this
+    # guard; only that lets the LAPACK calls below skip their finiteness
+    # checks, so it must stay first
     skew = np.linalg.norm(A - A.T) / np.linalg.norm(A)
     if not skew <= ANTISYMMETRY_TOL:
         raise SolverFailure(
@@ -398,11 +435,13 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
     if rdiag.min() <= 1e-13 * rdiag.max():
         raise SolverFailure("boundary mass matrix singular on the harmonic "
                             "basis")
-    # B = R^T R, so the pencil (A, B) becomes R^-T A R^-1 with A symmetrized
-    Y = solve_triangular(R, A + A.T, trans="T")
-    C = solve_triangular(R, Y.T, trans="T")
-    sigma, Y = eigh(0.25 * (C + C.T), subset_by_index=(0, m))
-    coef = solve_triangular(R, Y)
+    # B = R^T R, so the pencil (A, B) becomes R^-T A R^-1 with A
+    # symmetrized: ((A + A^T) R^-1)^T R^-1, by two right-sided solves
+    Y = blas.dtrsm(1.0, R, A + A.T, side=1)
+    C = blas.dtrsm(1.0, R, Y.T, side=1)
+    sigma, Y = eigh(0.25 * (C + C.T), subset_by_index=(0, m),
+                    check_finite=False)
+    coef = blas.dtrsm(1.0, R, Y)
     u, un = (X @ coef) / root, (Xn @ coef) / root
     res = np.sqrt(w @ (un - u * sigma) ** 2)
     rel = res / np.maximum(sigma, 1.0 / size)

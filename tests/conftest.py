@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from steklovmax import (AngleGrid, SupportVector, assemble, build_space,
-                        solve_spectrum, triangulate)
+from steklovmax import (AngleGrid, OptimOptions, SupportVector, assemble,
+                        build_space, reconstruct_boundary, solve_spectrum,
+                        triangulate)
+from steklovmax.cli import _flat_graphs, _flat_support
 from steklovmax.geometry import BoundaryPolyline
 from steklovmax.graphs import GraphPair
 from steklovmax.optimize import solve_boundary  # noqa: F401 (shared helper)
@@ -51,6 +53,39 @@ def two_graph_boundary(n=60):
     lower = -0.6 * base + 0.25 * np.sin(7 * x) * base
     upper = 0.8 * base + 0.2 * np.cos(9 * x) * base
     return GraphPair(lower, upper, 2.0).polyline()
+
+
+def convex_flat_start():
+    """The convex k=2 ascent's start: the aspect-0.4 support polygon, N=100."""
+    return reconstruct_boundary(_flat_support(OptimOptions(k=2,
+                                                           n_angles=100)))
+
+
+def nonconvex_flat_start():
+    """The two-graph k=1 ascent's start: the aspect-0.7 lens, N=100."""
+    return _flat_graphs(OptimOptions(k=1, n_angles=100)).polyline()
+
+
+def arnoldi_oracle(zeta, w, degree):
+    """Vandermonde with Arnoldi, one column per polynomial: the values and
+    derivatives at zeta of q_0..q_degree, orthonormal in the w-weighted
+    inner product (the column-major form trefftz._arnoldi replaced)."""
+    Q = np.empty((len(zeta), degree + 1), dtype=complex)
+    H = np.zeros((degree + 1, degree + 1), dtype=complex)
+    Q[:, 0] = 1.0 / np.sqrt(w.sum())
+    for k in range(degree):
+        q = zeta * Q[:, k]
+        h = np.conj((w * q).conj() @ Q[:, :k + 1])
+        q -= Q[:, :k + 1] @ h
+        H[:k + 1, k] = h
+        H[k + 1, k] = np.sqrt(w @ (q.real ** 2 + q.imag ** 2))
+        Q[:, k + 1] = q / H[k + 1, k]
+    T = np.zeros_like(H)
+    for k in range(degree):
+        rhs = H @ T[:, k] - T[:, :k + 1] @ H[:k + 1, k]
+        rhs[k] += 1.0
+        T[:, k + 1] = rhs / H[k + 1, k]
+    return Q, Q @ T
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ import steklovmax.meshing as meshing
 from steklovmax import (AngleGrid, OptimOptions, SupportVector,
                         build_constraint_set, project, reconstruct_boundary,
                         triangulate)
-from steklovmax.cli import _flat_graphs, _flat_support
 from steklovmax.errors import SelfIntersection
 from steklovmax.geometry import BoundaryPolyline
 from steklovmax.graphs import GraphPair
@@ -17,7 +16,8 @@ from steklovmax.meshing import (MERGE_FRAC, _boundary_is_chain,
                                 _subdivide_chain, _triangle_quality,
                                 check_simple, clear_of_polyline,
                                 points_in_polygon)
-from conftest import disk_boundary, two_graph_boundary, wavy_boundary
+from conftest import (convex_flat_start, disk_boundary, nonconvex_flat_start,
+                      two_graph_boundary, wavy_boundary)
 
 
 def ellipse(n=100, a=1.0, b=0.6):
@@ -240,10 +240,7 @@ def test_delaunay_calls_per_mesh(monkeypatch):
     # many rounds run (11 when every pass re-triangulated; 4 on the flat
     # starts and 6-11 on pool-size meshes when every round did)
     built, added = count_triangulations(monkeypatch)
-    starts = [reconstruct_boundary(_flat_support(OptimOptions(k=2,
-                                                              n_angles=100))),
-              _flat_graphs(OptimOptions(k=1, n_angles=100)).polyline()]
-    for b in starts:
+    for b in (convex_flat_start(), nonconvex_flat_start()):
         del built[:]
         mesh = triangulate(b, 0.1)
         assert built == ["fresh", "incremental"]

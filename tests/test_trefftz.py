@@ -10,7 +10,8 @@ from steklovmax.geometry import BoundaryPolyline
 from steklovmax.gradients import (_pair_weights, cluster_indices,
                                   vertex_field_derivative)
 from steklovmax.trefftz import solve_harmonic
-from conftest import (disk_boundary, ellipse_boundary, fem_spectrum,
+from conftest import (arnoldi_oracle, convex_flat_start, disk_boundary,
+                      ellipse_boundary, fem_spectrum, nonconvex_flat_start,
                       two_graph_boundary, vertex_normals, wavy_boundary)
 
 M = 5   # sigma_0..sigma_5: every eigenvalue the ascent reads for k <= 3
@@ -128,3 +129,102 @@ def test_repeatable():
     for name in ("u", "ut", "un", "weight", "lam", "edge"):
         assert np.array_equal(getattr(a.samples, name),
                               getattr(c.samples, name))
+
+
+def _captured(monkeypatch, name, b):
+    """The arguments of the first call of trefftz.<name> while solving b."""
+    seen = []
+    real = getattr(trefftz, name)
+
+    def spy(*args):
+        seen.append([np.array(a) for a in args])
+        return real(*args)
+    with monkeypatch.context() as mp:
+        mp.setattr(trefftz, name, spy)
+        solve_harmonic(b, M)
+    return seen[0]
+
+
+@pytest.mark.parametrize("b, passes", [
+    pytest.param(convex_flat_start(), 1, id="convex-flat"),
+    pytest.param(two_graph_boundary(), 2, id="two-graph")])
+def test_r_factor(monkeypatch, b, passes):
+    # polynomials alone (cond 2.3) take one Cholesky QR pass; the corner
+    # functions of the two-graph domain (cond 2.6e5) take two
+    X, = _captured(monkeypatch, "_r_factor", b)
+    calls = []
+    real = trefftz.lapack.dpotrf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(trefftz.lapack, "dpotrf", counting)
+    R = trefftz._r_factor(X)
+    assert len(calls) == passes
+    assert np.array_equal(R, np.triu(R))
+    gram = X.T @ X
+    assert np.max(np.abs(R.T @ R - gram)) <= 1e-13 * np.max(np.abs(gram))
+    ref = np.linalg.qr(X, mode="r")
+    assert np.max(np.abs(np.abs(R) - np.abs(ref))) <= 1e-13 * np.max(
+        np.abs(ref))
+
+
+def test_r_factor_singular_raises():
+    # a duplicated column: with orthogonal columns of norm 2 the Gram
+    # matrix's second Cholesky pivot is exactly 0
+    X = np.ascontiguousarray(2.0 * np.eye(8, 4)[:, [0, 1, 1, 2]])
+    with pytest.raises(SolverFailure, match="boundary mass matrix"):
+        trefftz._r_factor(X)
+
+
+def test_one_and_two_pass_agree(monkeypatch):
+    b = convex_flat_start()
+    one = solve_harmonic(b, M)
+    monkeypatch.setattr(trefftz, "ONE_PASS_COND", 1.0)
+    two = solve_harmonic(b, M)
+    assert np.allclose(two.eigenvalues, one.eigenvalues, rtol=1e-13,
+                       atol=1e-13)
+    u1, u2 = one.samples.u, two.samples.u
+    signs = np.sign(np.sum(u1 * u2, axis=0))
+    assert np.max(np.abs(u2 * signs - u1)) <= 1e-10 * np.max(np.abs(u1))
+
+
+@pytest.mark.parametrize("b", [
+    pytest.param(convex_flat_start(), id="convex-flat"),
+    pytest.param(nonconvex_flat_start(), id="nonconvex-flat"),
+    pytest.param(wavy_boundary(), id="wavy"),
+    pytest.param(two_graph_boundary(), id="two-graph")])
+def test_arnoldi_matches_oracle(monkeypatch, b):
+    zeta, w = _captured(monkeypatch, "_arnoldi", b)
+    Q, D = trefftz._arnoldi(zeta, w)
+    Qo, Do = arnoldi_oracle(zeta, w, trefftz.DEGREE)
+    assert Q.shape == Qo.shape and D.shape == Do.shape
+    assert np.max(np.abs(Q - Qo)) <= 1e-13 * np.max(np.abs(Qo))
+    assert np.max(np.abs(D - Do)) <= 1e-13 * np.max(np.abs(Do))
+
+
+class _Forbidden:
+    """Stands in for a LAPACK entry point that must not be reached."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"LAPACK reached: {name}")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("LAPACK reached")
+
+
+def test_non_finite_basis_stops_before_lapack(monkeypatch):
+    # the LAPACK calls skip their finiteness checks: a NaN in the basis
+    # must fail the antisymmetry guard first
+    real = trefftz._arnoldi
+
+    def poisoned(zeta, w):
+        Q, D = real(zeta, w)
+        Q = Q.copy()
+        Q[7, 3] = np.nan
+        return Q, D
+    monkeypatch.setattr(trefftz, "_arnoldi", poisoned)
+    for name in ("blas", "lapack", "eigh"):
+        monkeypatch.setattr(trefftz, name, _Forbidden())
+    with pytest.raises(SolverFailure, match="quadrature under-resolved"):
+        solve_harmonic(convex_flat_start(), M)
