@@ -196,7 +196,8 @@ def _arnoldi(zeta, w):
     with T strictly upper triangular, built from H alone.
 
     The basis is stored one row per polynomial next to Qw = conj(Q) w, so
-    a step is two contiguous matrix-vector products and no temporaries.
+    a step is two contiguous matrix-vector products and allocates no
+    node-length temporaries.
     Returns (Q, Q T) as views of shape (nodes, DEGREE + 1).
     """
     Q = np.empty((DEGREE + 1, len(zeta)), dtype=complex)
