@@ -11,17 +11,15 @@ from .constraints import LinearConstraintSet, build_constraint_set, project
 from .errors import (ClusteredEigenvalue, ConfigError, DegenerateBoundary,
                      EmptyDiameterSet, MeshFailure, NoAscent,
                      ProjectionFailure, SelfIntersection, SolverFailure,
-                     SteklovMaxError, ZeroBoundaryTrace)
-from .experiments import (BoundConstant, PerturbationSpec, ball_volume,
-                          check_bound, derive_bound_constant,
-                          disk_perturbation_slope, multiplicity_report,
-                          perturbation_constant, slope_report,
-                          wallis_integral)
+                     SteklovMaxError)
+from .experiments import (PerturbationSpec, ball_volume, check_bound,
+                          derive_bound_constant, disk_perturbation_slope,
+                          multiplicity_report, perturbation_constant,
+                          slope_report, wallis_integral)
 from .fem import (FEMSpace, SteklovSpectrum, assemble, build_space,
-                  harmonic_extension, rayleigh_quotient, solve_spectrum)
-from .geometry import (AngleGrid, BoundaryField, BoundaryPolyline,
-                       DiameterReport, SupportVector, compute_diameter,
-                       diameter_directional_derivative, reconstruct_boundary)
+                  solve_spectrum)
+from .geometry import (AngleGrid, BoundaryPolyline, DiameterReport,
+                       SupportVector, compute_diameter, reconstruct_boundary)
 from .gradients import (cluster_indices, graph_gradient, support_gradient,
                         vertex_field_derivative)
 from .graphs import GraphPair

@@ -12,7 +12,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -56,6 +56,10 @@ class RunConfig:
             raise ConfigError("k must be >= 1")
         if self.diameter <= 0 or self.tol <= 0:
             raise ConfigError("diameter and tol must be positive")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         ini = self.initial
@@ -64,11 +68,7 @@ class RunConfig:
                               f"got {ini!r}")
 
 
-_FIELD_TYPES = {
-    "mode": str, "k": int, "n_angles": int, "diameter": float,
-    "max_iters": int, "tol": float, "seed": int,
-    "initial": str, "out_dir": str, "jobs": int, "verbose": bool,
-}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key, raw):
@@ -175,21 +175,29 @@ def _flatness(k):
     return {1: 0.7, 2: 0.4}.get(k, 0.25)
 
 
-def _flat_support(opts: OptimOptions, b=None):
+def _flat_support(opts: OptimOptions):
     """Flattened-ellipse support start (semi-axes d/2 and b*d/2)."""
-    b = _flatness(opts.k) if b is None else b
+    b = _flatness(opts.k)
     theta = 2.0 * np.pi * np.arange(opts.n_angles) / opts.n_angles
     p = np.sqrt(np.cos(theta) ** 2 + (b * np.sin(theta)) ** 2)
     return SupportVector(AngleGrid(opts.n_angles), opts.diameter / 2.0 * p)
 
 
-def _flat_graphs(opts: OptimOptions, b=None):
-    b = _flatness(opts.k) if b is None else b
-    d = opts.diameter
-    n = opts.n_angles // 2
-    x = np.linspace(-d / 2, d / 2, n + 2)[1:-1]
-    y = b * np.sqrt(np.maximum((d / 2) ** 2 - x ** 2, 0.0))
-    return GraphPair(-y, y, d)
+def _flat_graphs(opts: OptimOptions):
+    """The disk's graphs scaled vertically by _flatness(k)."""
+    b = _flatness(opts.k)
+    disk = disk_graphs(opts)
+    return GraphPair(b * disk.p, b * disk.q, disk.d)
+
+
+def _read_initial(cfg, parse):
+    """parse(path) of a file:<path> start; an unreadable or malformed file
+    is a configuration error."""
+    path = cfg.initial[len("file:"):]
+    try:
+        return parse(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad initial file {path}: {exc}") from exc
 
 
 def _initial_support(cfg, opts):
@@ -197,8 +205,8 @@ def _initial_support(cfg, opts):
         return disk_support(opts)
     if cfg.initial == "flat":
         return _flat_support(opts)
-    p = np.loadtxt(cfg.initial[len("file:"):], delimiter=",")
-    return SupportVector(AngleGrid(opts.n_angles), np.atleast_1d(p))
+    return _read_initial(cfg, lambda path: SupportVector(
+        AngleGrid(opts.n_angles), np.loadtxt(path, delimiter=",", ndmin=1)))
 
 
 def _initial_graphs(cfg, opts):
@@ -206,8 +214,12 @@ def _initial_graphs(cfg, opts):
         return disk_graphs(opts)
     if cfg.initial == "flat":
         return _flat_graphs(opts)
-    arr = np.loadtxt(cfg.initial[len("file:"):], delimiter=",", ndmin=2)
-    return GraphPair(arr[:, 0], arr[:, 1], opts.diameter)
+
+    def parse(path):
+        p, q = np.loadtxt(path, delimiter=",", ndmin=2, usecols=(0, 1),
+                          unpack=True)
+        return GraphPair(p, q, opts.diameter)
+    return _read_initial(cfg, parse)
 
 
 def _json_default(obj):
@@ -231,9 +243,8 @@ def _write_history(path, history):
             f.write(f"{i},{v:.17g}\n")
 
 
-def _diameter_payload(rep):
-    return {"diameter": rep.diameter,
-            "pairs": [[int(i), int(j)] for i, j in rep.pairs]}
+def _diameter_pairs(rep):
+    return [[int(i), int(j)] for i, j in rep.pairs]
 
 
 def _best_objective(state):
@@ -247,7 +258,7 @@ def _result_payload(cfg, state, variables_key, variables_value):
         "objective": _best_objective(state),
         "eigenvalues": [float(x) for x in state.eigenvalues],
         "diameter": state.diameter.diameter,
-        "diameter_pairs": _diameter_payload(state.diameter)["pairs"],
+        "diameter_pairs": _diameter_pairs(state.diameter),
         variables_key: variables_value,
         "history": [float(x) for x in state.objective_history],
         "iterations": state.iterations,
@@ -290,11 +301,10 @@ def _run_optimize(cfg, out):
 
 
 def _run_spectrum(cfg, out):
-    if not cfg.initial.startswith("file:"):
-        opts = _optim_options(cfg)
-        b = reconstruct_boundary(disk_support(opts))
+    if cfg.initial.startswith("file:"):
+        b = _read_initial(cfg, BoundaryPolyline.from_csv)
     else:
-        b = BoundaryPolyline.from_csv(cfg.initial[len("file:"):])
+        b = reconstruct_boundary(_initial_support(cfg, _optim_options(cfg)))
     spec = _emit_spectrum(out, b, max(cfg.k + 3, 9))
     _emit_shape(out, b)
     rep = compute_diameter(b)
@@ -303,7 +313,7 @@ def _run_spectrum(cfg, out):
         "objective": float(spec.eigenvalues[cfg.k]) * rep.diameter,
         "eigenvalues": [float(x) for x in spec.eigenvalues],
         "diameter": rep.diameter,
-        "diameter_pairs": _diameter_payload(rep)["pairs"],
+        "diameter_pairs": _diameter_pairs(rep),
         "history": [],
     }
 
@@ -355,7 +365,7 @@ def _run_experiment(cfg, out):
 
 def run(cfg: RunConfig):
     """Execute one configured run; returns the result payload written to
-    result.json (wall time added as a separate key)."""
+    result.json (the wall time goes to timing.json)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     t0 = time.time()
     if cfg.mode in ("optimize-convex", "optimize-nonconvex"):
@@ -367,10 +377,8 @@ def run(cfg: RunConfig):
     else:
         payload = _run_experiment(cfg, cfg.out_dir)
     _write_json(os.path.join(cfg.out_dir, "result.json"), payload)
-    timing = dict(payload)
-    timing["wall_time_seconds"] = time.time() - t0
     _write_json(os.path.join(cfg.out_dir, "timing.json"),
-                {"wall_time_seconds": timing["wall_time_seconds"]})
+                {"wall_time_seconds": time.time() - t0})
     return payload
 
 

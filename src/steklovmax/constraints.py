@@ -19,29 +19,21 @@ FEAS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LinearConstraintSet:
-    """Rows a.x <= b (sense '<=') or a.x >= b (sense '>='), with tags."""
+    """Rows G x <= h (coeffs G, bounds h), with tags."""
 
     coeffs: np.ndarray      # (n_rows, n_vars)
     bounds: np.ndarray      # (n_rows,)
-    senses: np.ndarray      # (n_rows,) of '<=' / '>='
     tags: np.ndarray        # (n_rows,) of str
 
     def __len__(self):
         return self.coeffs.shape[0]
 
     def residuals(self, x):
-        """Slack of every row at x; feasible iff all >= 0."""
-        ax = self.coeffs @ x
-        slack = np.where(self.senses == "<=", self.bounds - ax, ax - self.bounds)
-        return slack
+        """Slack h - G x of every row at x; feasible iff all >= 0."""
+        return self.bounds - self.coeffs @ x
 
     def is_feasible(self, x, tol=1e-9):
         return bool(np.all(self.residuals(x) >= -tol))
-
-    def as_leq(self):
-        """All rows rewritten as G x <= h."""
-        sgn = np.where(self.senses == "<=", 1.0, -1.0)[:, None]
-        return self.coeffs * sgn, self.bounds * np.where(self.senses == "<=", 1.0, -1.0)
 
 
 def convexity_rows(n, h):
@@ -70,20 +62,21 @@ def diameter_rows(n, d):
 def build_constraint_set(n, h, d, p_min, convexity_min=0.0):
     """Full convex-mode polyhedron: convexity, width, anchor, positivity rows.
 
-    convexity_min > 0 floors the discrete radius of curvature, keeping the
-    reconstructed vertices distinct (every edge has length >= convexity_min
-    * h); the parametrization stays differentiable on the floored set.
+    The '>=' rows (convexity, anchor, positivity) are stored negated, so
+    every row reads G x <= h.  convexity_min > 0 floors the discrete radius
+    of curvature, keeping the reconstructed vertices distinct (every edge
+    has length >= convexity_min * h); the parametrization stays
+    differentiable on the floored set.
     """
     conv = convexity_rows(n, h)
     widths, anchor = diameter_rows(n, d)
     pos = np.eye(n)
-    coeffs = np.vstack([conv, widths, anchor, pos])
-    bounds = np.concatenate([np.full(n, convexity_min), np.full(n // 2, d),
-                             [d], np.full(n, p_min)])
-    senses = np.array([">="] * n + ["<="] * (n // 2) + [">="] + [">="] * n)
+    coeffs = np.vstack([-conv, widths, -anchor, -pos])
+    bounds = np.concatenate([np.full(n, -convexity_min), np.full(n // 2, d),
+                             [-d], np.full(n, -p_min)])
     tags = np.array(["convexity"] * n + ["width"] * (n // 2) + ["anchor"]
                     + ["positivity"] * n)
-    return LinearConstraintSet(coeffs, bounds, senses, tags)
+    return LinearConstraintSet(coeffs, bounds, tags)
 
 
 def project(x, cset: LinearConstraintSet, tol=FEAS_TOL, maxiter=None):
@@ -95,7 +88,7 @@ def project(x, cset: LinearConstraintSet, tol=FEAS_TOL, maxiter=None):
     a dual active-set method.
     """
     x = np.asarray(x, dtype=float)
-    g, hh = cset.as_leq()
+    g, hh = cset.coeffs, cset.bounds
     slack = hh - g @ x
     if np.all(slack >= -tol):
         return x.copy()

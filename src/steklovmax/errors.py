@@ -30,10 +30,6 @@ class SolverFailure(SteklovMaxError):
     """The sparse factorization or the Lanczos eigensolve failed."""
 
 
-class ZeroBoundaryTrace(SteklovMaxError):
-    """Rayleigh quotient denominator vanishes."""
-
-
 class ClusteredEigenvalue(SteklovMaxError):
     """Requested a simple-eigenvalue derivative at a clustered eigenvalue."""
 

@@ -72,16 +72,9 @@ class PerturbationSpec:
         return 2.0 * (self.a4 - (K - 1.0) * self.a2)
 
 
-@dataclass(frozen=True)
-class BoundConstant:
-    """d = 2 constant of the upper bound sigma_k <= C(2,k) |Omega| / D^3."""
-
-    k: int
-    C2k: float
-
-
-def derive_bound_constant(k) -> BoundConstant:
-    """C(2,k) = [2(k+1)]^(d+1) / (4 C_d) at d = 2.
+def derive_bound_constant(k) -> float:
+    """C(2,k) = [2(k+1)]^(d+1) / (4 C_d) at d = 2, the constant of the
+    upper bound sigma_k <= C(2,k) |Omega| / D^3.
 
     C_d = omega_{d-2} / ((d-1) omega_{d-1}^((d-2)/(d-1))); with omega_0 = 1
     and omega_1 = 2, C_2 = 1, so C(2,k) = [2(k+1)]^3 / 4 = 2 (k+1)^3.
@@ -91,7 +84,7 @@ def derive_bound_constant(k) -> BoundConstant:
     d = 2
     c_d = ball_volume(d - 2) / ((d - 1) * ball_volume(d - 1) ** ((d - 2) / (d - 1)))
     val = (2.0 * (k + 1)) ** (d + 1) / (4.0 * c_d)
-    return BoundConstant(k, float(val))
+    return float(val)
 
 
 def check_bound(b: BoundaryPolyline, spectrum, k):
@@ -99,11 +92,11 @@ def check_bound(b: BoundaryPolyline, spectrum, k):
     const = derive_bound_constant(k)
     area = abs(b.area())
     diam = compute_diameter(b).diameter
-    bound = const.C2k * area / diam**3
+    bound = const * area / diam**3
     sigma = float(np.asarray(spectrum.eigenvalues)[k])
     return {
         "k": k,
-        "constant": const.C2k,
+        "constant": const,
         "area": area,
         "diameter": diam,
         "sigma_k": sigma,
@@ -113,17 +106,16 @@ def check_bound(b: BoundaryPolyline, spectrum, k):
     }
 
 
-def perturbed_disk_boundary(eps, pspec: PerturbationSpec, n_angles=200,
-                            scale=1.0):
-    """Polyline of the radially perturbed unit disk (optionally rescaled)."""
+def perturbed_disk_boundary(eps, pspec: PerturbationSpec, n_angles=200):
+    """Polyline of the radially perturbed unit disk."""
     theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
     r = 1.0 + eps * (pspec.a2 * np.cos(2 * theta) + pspec.a4 * np.cos(4 * theta))
-    pts = scale * (r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)]))
+    pts = r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
     return BoundaryPolyline(pts)
 
 
-def _objective_at(eps, pspec, n_angles, scale=1.0):
-    b = perturbed_disk_boundary(eps, pspec, n_angles, scale)
+def _objective_at(eps, pspec, n_angles):
+    b = perturbed_disk_boundary(eps, pspec, n_angles)
     spec = solve_boundary(b, 3)
     return float(spec.eigenvalues[1]) * compute_diameter(b).diameter
 
@@ -165,25 +157,12 @@ def slope_report(pspec: PerturbationSpec, n_angles=200, rel_tol=0.10):
     }
 
 
-def scale_invariance_error(pspec: PerturbationSpec, eps, t=3.0, n_angles=200):
-    """|sigma_1 D (scaled by t) - sigma_1 D (unscaled)|.
+def multiplicity_report(state, k):
+    """Gap ratios of the optimized sigma_k to its neighbors.
 
-    The product sigma_1 D is scale invariant, and the solver's basis and
-    quadrature scale with the polygon, so the discrete values agree to
-    rounding.
+    state is anything with an eigenvalues array, such as an OptimState.
     """
-    v1 = _objective_at(eps, pspec, n_angles, scale=1.0)
-    v2 = _objective_at(eps, pspec, n_angles, scale=t)
-    return abs(v2 - v1)
-
-
-def multiplicity_report(state, k=None):
-    """Gap ratios of the optimized eigenvalue to its neighbors."""
     w = np.asarray(state.eigenvalues)
-    if k is None:
-        k = getattr(state, "k", None)
-    if k is None:
-        raise ValueError("k must be given when the state does not carry it")
     sigma = w[k]
     upper = (w[k + 1] - sigma) / sigma if k + 1 < len(w) else np.nan
     lower = (sigma - w[k - 1]) / sigma if k >= 1 else np.nan

@@ -1,6 +1,6 @@
 """Discrete Steklov eigenproblem on a triangle mesh.
 
-Lagrange P1/P2 assembly of the stiffness matrix K and the boundary mass
+Lagrange P2 assembly of the stiffness matrix K and the boundary mass
 matrix B.  The Steklov spectrum is the finite spectrum of the sparse
 pencil K x = sigma B x; B vanishes on interior unknowns, so the pencil
 also has infinite eigenvalues, which shift-invert Lanczos never reaches.
@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .errors import SolverFailure, ZeroBoundaryTrace
+from .errors import SolverFailure
 from .gradients import BoundarySamples
 from .meshing import TriangleMesh, edge_keys
 
@@ -48,34 +48,26 @@ def _p2_1d(t):
 
 @dataclass(frozen=True)
 class FEMSpace:
-    """Lagrange nodal space of order 1 or 2 on a TriangleMesh.
+    """Lagrange P2 nodal space on a TriangleMesh.
 
-    Boundary data is ordered along the boundary loop: for order 2 the
-    sequence vertex, edge midpoint, vertex, ... with boundary_arc the
-    cumulative arclength of each boundary dof node.
+    Boundary dofs are ordered along the boundary loop: vertex, edge
+    midpoint, vertex, ...
     """
 
     mesh: TriangleMesh
-    order: int
     dof_count: int
-    cell_dofs: np.ndarray       # (n_tri, 3 or 6)
+    cell_dofs: np.ndarray       # (n_tri, 6)
     dof_coords: np.ndarray      # (dof_count, 2)
     boundary_dofs: np.ndarray   # loop-ordered dof indices
-    boundary_arc: np.ndarray    # cumulative arclength per boundary dof
 
 
 def build_space(mesh: TriangleMesh, order: int = 2) -> FEMSpace:
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+    if order != 2:
+        raise ValueError("order must be 2")
     tris = mesh.triangles
     v = mesh.vertices
     nv = len(v)
     loop = mesh.boundary_loop
-    arcs = mesh.boundary_arclengths()
-    if order == 1:
-        return FEMSpace(mesh=mesh, order=1, dof_count=nv,
-                        cell_dofs=tris.copy(), dof_coords=v.copy(),
-                        boundary_dofs=loop.copy(), boundary_arc=arcs.copy())
     # edge dofs numbered nv, nv+1, ... in order of first appearance over
     # the triangles' local edges (1,2), (2,0), (0,1)
     ends = (tris[:, [1, 2, 0]], tris[:, [2, 0, 1]])
@@ -92,14 +84,10 @@ def build_space(mesh: TriangleMesh, order: int = 2) -> FEMSpace:
     dof_coords[:nv] = v
     dof_coords[nv:] = 0.5 * (v[keys[by_first] // nv] + v[keys[by_first] % nv])
 
-    pts = v[loop]
-    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     mid = nv + rank[np.searchsorted(keys, edge_keys(loop, np.roll(loop, -1), nv))]
     boundary_dofs = np.column_stack((loop, mid)).ravel()
-    boundary_arc = np.column_stack((arcs, arcs + 0.5 * seg)).ravel()
-    return FEMSpace(mesh=mesh, order=2, dof_count=ndof,
-                    cell_dofs=cell_dofs, dof_coords=dof_coords,
-                    boundary_dofs=boundary_dofs, boundary_arc=boundary_arc)
+    return FEMSpace(mesh=mesh, dof_count=ndof, cell_dofs=cell_dofs,
+                    dof_coords=dof_coords, boundary_dofs=boundary_dofs)
 
 
 def assemble(space: FEMSpace):
@@ -118,46 +106,31 @@ def assemble(space: FEMSpace):
     invT[:, 1, 0] = -e2[:, 0]
     invT[:, 1, 1] = e1[:, 0]
 
-    nloc = 3 if space.order == 1 else 6
-    if space.order == 1:
-        gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])[None, :, :]
-        qw = np.array([0.5])
-    else:
-        gref = np.stack([_p2_grads(x, y) for x, y in _QP])
-        qw = _QW
-
-    nt = len(tris)
-    kloc = np.zeros((nt, nloc, nloc))
-    for q in range(len(qw)):
+    gref = np.stack([_p2_grads(x, y) for x, y in _QP])
+    kloc = np.zeros((len(tris), 6, 6))
+    for q in range(len(_QW)):
         # physical gradients (invT @ gref / det) and their Gram matrices,
         # both batched matmuls
         g = gref[q] @ invT.transpose(0, 2, 1) / det[:, None, None]
-        kloc += qw[q] * np.abs(det)[:, None, None] * (g @ g.transpose(0, 2, 1))
+        kloc += _QW[q] * np.abs(det)[:, None, None] * (g @ g.transpose(0, 2, 1))
 
-    rows = np.repeat(space.cell_dofs, nloc, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, nloc)).ravel()
+    rows = np.repeat(space.cell_dofs, 6, axis=1).ravel()
+    cols = np.tile(space.cell_dofs, (1, 6)).ravel()
     K = sp.coo_matrix((kloc.ravel(), (rows, cols)),
                       shape=(space.dof_count, space.dof_count)).tocsr()
 
     # boundary mass: 1D Gauss per boundary segment
-    loop = mesh.boundary_loop
-    pts = mesh.vertices[loop]
+    pts = mesh.vertices[mesh.boundary_loop]
     seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    if space.order == 1:
-        dofs = np.column_stack((loop, np.roll(loop, -1)))
-        mloc = (seg / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
-    else:
-        phis = np.stack([_p2_1d(t) for t in _G1])  # (nq, 3)
-        mref = np.einsum("q,qi,qj->ij", _W1, phis, phis)
-        # segment i: its end dofs 2i and 2i+2 (mod 2n), then its midpoint
-        ends = space.boundary_dofs[0::2]
-        dofs = np.column_stack((ends, np.roll(ends, -1),
-                                space.boundary_dofs[1::2]))
-        mloc = seg[:, None, None] * mref
-    bloc = dofs.shape[1]
-    brow = np.repeat(dofs, bloc, axis=1).ravel()
-    bcol = np.tile(dofs, (1, bloc)).ravel()
-    bval = mloc.ravel()
+    phis = np.stack([_p2_1d(t) for t in _G1])  # (nq, 3)
+    mref = np.einsum("q,qi,qj->ij", _W1, phis, phis)
+    # segment i: its end dofs 2i and 2i+2 (mod 2n), then its midpoint
+    ends = space.boundary_dofs[0::2]
+    dofs = np.column_stack((ends, np.roll(ends, -1),
+                            space.boundary_dofs[1::2]))
+    brow = np.repeat(dofs, 3, axis=1).ravel()
+    bcol = np.tile(dofs, (1, 3)).ravel()
+    bval = (seg[:, None, None] * mref).ravel()
     B = sp.coo_matrix((bval, (brow, bcol)),
                       shape=(space.dof_count, space.dof_count)).tocsr()
     return K, B
@@ -193,16 +166,11 @@ def _boundary_samples(space: FEMSpace, y, sigma) -> BoundarySamples:
     mesh = space.mesh
     pts = mesh.vertices[mesh.boundary_loop]
     L = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    if space.order == 1:
-        ends = (y, np.roll(y, -1, axis=0))
-        shape = np.column_stack([1.0 - _G1, _G1])
-        dshape = np.tile([-1.0, 1.0], (len(_G1), 1))
-    else:
-        # segment i runs from vertex dof 2i over midpoint 2i+1 to 2i+2
-        ends = (y[0::2], np.roll(y[0::2], -1, axis=0), y[1::2])
-        shape = np.stack([_p2_1d(t) for t in _G1])
-        dshape = np.column_stack([4.0 * _G1 - 3.0, 4.0 * _G1 - 1.0,
-                                  4.0 - 8.0 * _G1])
+    # segment i runs from vertex dof 2i over midpoint 2i+1 to 2i+2
+    ends = (y[0::2], np.roll(y[0::2], -1, axis=0), y[1::2])
+    shape = np.stack([_p2_1d(t) for t in _G1])
+    dshape = np.column_stack([4.0 * _G1 - 3.0, 4.0 * _G1 - 1.0,
+                              4.0 - 8.0 * _G1])
     nodes = np.stack(ends, axis=1)                  # (seg, local, eig)
     u = np.einsum("gl,sle->sge", shape, nodes).reshape(-1, y.shape[1])
     ut = (np.einsum("gl,sle->sge", dshape, nodes)
@@ -262,32 +230,6 @@ def solve_spectrum(space: FEMSpace, K, B, m: int) -> SteklovSpectrum:
     return SteklovSpectrum(eigenvalues=w, traces=y,
                            samples=_boundary_samples(space, y, w),
                            space=space, b_boundary=Bbb)
-
-
-def harmonic_extension(space: FEMSpace, K, trace):
-    """Full dof vector equal to trace on the boundary, discrete-harmonic inside."""
-    bset = space.boundary_dofs
-    ndof = space.dof_count
-    mask = np.ones(ndof, dtype=bool)
-    mask[bset] = False
-    iset = np.nonzero(mask)[0]
-    v = np.zeros(ndof)
-    v[bset] = trace
-    if len(iset):
-        Kcsc = K.tocsc()
-        Kii = Kcsc[np.ix_(iset, iset)].tocsc()
-        Kib = Kcsc[np.ix_(iset, bset)]
-        v[iset] = -splu(Kii).solve(Kib @ trace)
-    return v
-
-
-def rayleigh_quotient(K, B, v) -> float:
-    """v^T K v / v^T B v for a full dof vector v."""
-    num = float(v @ (K @ v))
-    den = float(v @ (B @ v))
-    if den <= 1e-14 * max(num, 1e-300):
-        raise ZeroBoundaryTrace("boundary trace numerically zero")
-    return num / den
 
 
 def spectrum_to_csv(spec: SteklovSpectrum, path):

@@ -128,19 +128,6 @@ class DiameterReport:
             raise EmptyDiameterSet("no diameter-achieving pairs")
 
 
-@dataclass(frozen=True)
-class BoundaryField:
-    """Per-vertex boundary velocity: one 2D vector per polyline vertex."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2:
-            raise ValueError("values must have shape (n, 2)")
-        object.__setattr__(self, "values", v)
-
-
 def reconstruct_boundary(sv: SupportVector) -> BoundaryPolyline:
     """Boundary points of the body with support samples p.
 
@@ -164,8 +151,6 @@ def compute_diameter(b: BoundaryPolyline, pair_tol: float = PAIR_TOL) -> Diamete
     every near-diameter pair.
     """
     v = b.vertices
-    if len(v) < 2:
-        raise DegenerateBoundary("need at least 2 distinct vertices")
     x, y = v[:, 0], v[:, 1]
     d2 = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2
     diam = float(np.sqrt(d2.max()))
@@ -173,19 +158,3 @@ def compute_diameter(b: BoundaryPolyline, pair_tol: float = PAIR_TOL) -> Diamete
     ii, jj = np.nonzero(np.triu(d2 >= cut, k=1))
     pairs = [(int(i), int(j)) for i, j in zip(ii, jj)]
     return DiameterReport(diameter=diam, pairs=pairs)
-
-
-def diameter_directional_derivative(b: BoundaryPolyline, rep: DiameterReport,
-                                    field: BoundaryField) -> float:
-    """One-sided derivative of the diameter along a per-vertex vector field.
-
-    Equals (1/D) max over diameter pairs of <Q_i - Q_j, V(Q_i) - V(Q_j)>.
-    """
-    if not rep.pairs:
-        raise EmptyDiameterSet("diameter report has no pairs")
-    v = b.vertices
-    w = field.values
-    best = -np.inf
-    for i, j in rep.pairs:
-        best = max(best, float(np.dot(v[i] - v[j], w[i] - w[j])))
-    return best / rep.diameter

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClusteredEigenvalue
-from .geometry import BoundaryField, BoundaryPolyline
+from .geometry import BoundaryPolyline
 from .graphs import GraphPair
 
 CLUSTER_TOL = 1e-3
@@ -133,16 +133,15 @@ def vertex_field_derivative(spec, k, b: BoundaryPolyline,
                             field, cluster_tol=CLUSTER_TOL) -> float:
     """Derivative of a simple sigma_k under a per-vertex velocity field.
 
-    field holds one 2D velocity per polyline vertex (a BoundaryField or an
-    (n, 2) array); the boundary moves piecewise linearly.
+    field is an (n, 2) array, one 2D velocity per polyline vertex; the
+    boundary moves piecewise linearly.
     Raises ClusteredEigenvalue when the gap test fails.
     """
     lo, hi = cluster_indices(spec, k, cluster_tol)
     if lo != hi:
         raise ClusteredEigenvalue(
             f"sigma_{k} clusters with indices [{lo}, {hi}]")
-    vals = field.values if isinstance(field, BoundaryField) else \
-        np.asarray(field, dtype=float)
+    vals = np.asarray(field, dtype=float)
     if vals.shape != (len(b), 2):
         raise ValueError("field must hold one 2D velocity per vertex")
     return float(np.sum(vals * _pair_weights(spec, k, k, b)))

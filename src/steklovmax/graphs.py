@@ -55,7 +55,3 @@ class GraphPair:
     def upper_vertex_indices(self):
         """Polyline vertex index of each upper-graph variable q_i."""
         return np.arange(2 * self.n + 1, self.n + 1, -1)
-
-    def to_json_dict(self):
-        return {"graphs": {"p": self.p.tolist(), "q": self.q.tolist()},
-                "diameter": self.d}

@@ -166,12 +166,6 @@ def clearance_test(poly, r):
     return clear
 
 
-def clear_of_polyline(points, poly, r):
-    """True where a point is at least r from the closed polyline (a
-    one-shot clearance_test)."""
-    return clearance_test(poly, r)(points)
-
-
 def _ranges(start, count):
     """Concatenation of arange(s, s + c) over (s, c) in zip(start, count)."""
     offset = np.cumsum(count) - count

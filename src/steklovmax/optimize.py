@@ -338,9 +338,9 @@ def disk_support(opts: OptimOptions) -> SupportVector:
                          np.full(opts.n_angles, opts.diameter / 2.0))
 
 
-def disk_graphs(opts: OptimOptions, n_points=None) -> GraphPair:
+def disk_graphs(opts: OptimOptions) -> GraphPair:
     """The ball of the prescribed diameter in two-graph form."""
-    n = n_points if n_points is not None else opts.n_angles // 2
+    n = opts.n_angles // 2
     d = opts.diameter
     x = np.linspace(-d / 2, d / 2, n + 2)[1:-1]
     y = np.sqrt(np.maximum((d / 2) ** 2 - x ** 2, 0.0))

@@ -175,7 +175,7 @@ def test_criterion_7_bound_invariant(convex_runs, nonconvex_runs):
     ok = True
     for runs in (convex_runs, nonconvex_runs):
         for k, (st, iterates) in runs.items():
-            c = derive_bound_constant(k).C2k
+            c = derive_bound_constant(k)
             for _, eigs, area, diam in iterates:
                 margin = float(eigs[k]) / (c * area / diam**3)
                 worst = max(worst, margin)
@@ -185,7 +185,7 @@ def test_criterion_7_bound_invariant(convex_runs, nonconvex_runs):
     for b in (disk_boundary(200), ellipse_boundary()):
         spec = solve_boundary(b, 4)
         for k in (1, 2):
-            c = derive_bound_constant(k).C2k
+            c = derive_bound_constant(k)
             area = abs(b.area())
             diam = compute_diameter(b).diameter
             margin = float(spec.eigenvalues[k]) / (c * area / diam**3)

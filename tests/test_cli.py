@@ -11,6 +11,7 @@ import pytest
 from steklovmax.cli import (RunConfig, main, parse_config, read_config_file,
                             run)
 from steklovmax.errors import ConfigError
+from steklovmax.geometry import BoundaryPolyline
 
 FAST = ["--n-angles", "100"]
 
@@ -94,6 +95,25 @@ def test_exit_code_config_error():
     assert main(["--n-angles", "15"]) == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["--max-iters", "0"],
+    ["--seed=-1"],
+    ["--initial=file:{tmp}/missing.csv"],
+    ["--initial=file:{tmp}/missing.csv", "--mode", "optimize-nonconvex"],
+    ["--initial=file:{tmp}/missing.csv", "--mode", "spectrum"],
+    ["--initial=file:{tmp}/short.csv"],
+    ["--initial=file:{tmp}/short.csv", "--mode", "optimize-nonconvex"],
+], ids=["max-iters-0", "negative-seed", "missing-support-file",
+        "missing-graphs-file", "missing-shape-file", "short-support-file",
+        "one-column-graphs-file"])
+def test_exit_code_bad_input(tmp_path, args):
+    # short.csv holds 10 support values where --n-angles asks for 100, and
+    # one column where a graphs file needs two
+    np.savetxt(tmp_path / "short.csv", np.ones(10), delimiter=",")
+    argv = [a.format(tmp=tmp_path) for a in args]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")] + FAST) == 3
+
+
 def test_benchmark_disk_run(tmp_path):
     rc = main(["--mode", "benchmark-disk", "--out-dir", str(tmp_path)] + FAST)
     assert rc == 0
@@ -119,6 +139,17 @@ def test_spectrum_roundtrip(tmp_path):
     w1 = np.asarray(first["eigenvalues"])
     w2 = np.asarray(second["eigenvalues"])
     assert np.allclose(w1[1:], w2[1:], rtol=1e-6)
+
+
+def test_spectrum_flat_start_is_flat(tmp_path):
+    area = {}
+    for initial in ("disk", "flat"):
+        out = tmp_path / initial
+        assert main(["--mode", "spectrum", "--initial", initial,
+                     "--out-dir", str(out)] + FAST) == 0
+        area[initial] = BoundaryPolyline.from_csv(out / "shape.csv").area()
+    # the flat start is the aspect-0.7 ellipse of the same diameter
+    assert area["flat"] < 0.75 * area["disk"]
 
 
 def test_determinism_bit_identical(tmp_path):

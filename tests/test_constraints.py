@@ -75,8 +75,7 @@ def test_single_halfspace_projection_formula():
     # one violated row: projection is the closed-form halfspace projection
     from steklovmax.constraints import LinearConstraintSet
     a = np.array([[1.0, 2.0]])
-    cs = LinearConstraintSet(a, np.array([1.0]), np.array(["<="]),
-                             np.array(["row"]))
+    cs = LinearConstraintSet(a, np.array([1.0]), np.array(["row"]))
     x = np.array([2.0, 3.0])
     expected = x - (a[0] @ x - 1.0) / (a[0] @ a[0]) * a[0]
     assert np.allclose(project(x, cs), expected, atol=1e-12)

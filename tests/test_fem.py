@@ -7,8 +7,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, splu
 
 import steklovmax.fem as fem
-from steklovmax import (assemble, build_space, harmonic_extension,
-                        rayleigh_quotient, solve_spectrum, triangulate)
+from steklovmax import assemble, build_space, solve_spectrum, triangulate
 from steklovmax.errors import SolverFailure
 from steklovmax.geometry import BoundaryPolyline
 from conftest import (disk_boundary, ellipse_boundary, two_graph_boundary,
@@ -54,17 +53,6 @@ def test_traces_b_orthonormal(disk_spec):
     assert np.allclose(gram, np.eye(gram.shape[0]), atol=1e-8)
 
 
-def test_extension_rayleigh_matches_eigenvalue():
-    b = ellipse_boundary()
-    mesh = triangulate(b, 0.1)
-    space = build_space(mesh, 2)
-    K, B = assemble(space)
-    spec = solve_spectrum(space, K, B, 4)
-    ext = harmonic_extension(space, K, spec.traces[:, 1])
-    assert np.isclose(rayleigh_quotient(K, B, ext), spec.eigenvalues[1],
-                      rtol=1e-8)
-
-
 def test_stiffness_symmetric_psd():
     mesh = triangulate(disk_boundary(48), 0.2)
     space = build_space(mesh, 2)
@@ -85,6 +73,13 @@ def test_mass_supported_on_boundary():
     assert np.allclose(Bd[:, interior], 0.0)
 
 
+def test_build_space_is_p2_only():
+    mesh = triangulate(disk_boundary(48), 0.2)
+    for order in (1, 3):
+        with pytest.raises(ValueError, match="order"):
+            build_space(mesh, order)
+
+
 def test_boundary_mass_total_is_perimeter():
     b = disk_boundary(100)
     mesh = triangulate(b, 0.1)
@@ -94,28 +89,14 @@ def test_boundary_mass_total_is_perimeter():
     assert np.isclose(ones @ (B @ ones), b.perimeter(), rtol=1e-12)
 
 
-def test_p1_vs_p2_convergence():
-    # sigma_5 = 3 has the cubic eigenfunction r^3 cos(3 angle): P2 resolves
-    # it far better than P1 on the same mesh (sigma_1's eigenfunction is
-    # linear, which both orders represent exactly, so use the higher mode;
-    # N = 400 keeps the polygonal geometry error below the FEM error)
-    mesh = triangulate(disk_boundary(400), 0.15)
-    errs = {}
-    for order in (1, 2):
-        space = build_space(mesh, order)
-        K, B = assemble(space)
-        w = solve_spectrum(space, K, B, 6).eigenvalues
-        errs[order] = abs(w[5] - 3.0)
-    assert errs[2] < 0.3 * errs[1]
-
-
 def test_boundary_arc_total(disk_spec):
-    space = disk_spec.space
-    # last dof arc plus the closing interval equals the perimeter
-    total = space.mesh.vertices[space.mesh.boundary_loop]
+    mesh = disk_spec.space.mesh
+    # the boundary loop's segments add up to the perimeter, and the
+    # arclengths the boundary samples are placed by increase along it
+    total = mesh.vertices[mesh.boundary_loop]
     seg = np.linalg.norm(np.roll(total, -1, axis=0) - total, axis=1)
     assert np.isclose(seg.sum(), 2 * np.pi, rtol=2e-3)
-    assert np.all(np.diff(space.boundary_arc) > 0)
+    assert np.all(np.diff(mesh.boundary_arclengths()) > 0)
 
 
 def test_tangential_derivative_of_linear_function():
@@ -154,15 +135,11 @@ def p2_numbering_oracle(mesh):
     for (a, b), d in edges.items():
         dof_coords[d] = 0.5 * (v[a] + v[b])
     loop = mesh.boundary_loop
-    arcs = mesh.boundary_arclengths()
-    pts = v[loop]
-    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-    bd, ba = [], []
+    bd = []
     for i in range(len(loop)):
         a, b = loop[i], loop[(i + 1) % len(loop)]
         bd += [a, edges[(min(a, b), max(a, b))]]
-        ba += [arcs[i], arcs[i] + 0.5 * seg[i]]
-    return cell_dofs, dof_coords, np.asarray(bd), np.asarray(ba)
+    return cell_dofs, dof_coords, np.asarray(bd)
 
 
 @pytest.mark.parametrize("b,h", [(ellipse_boundary(100), 0.1),
@@ -170,12 +147,11 @@ def p2_numbering_oracle(mesh):
 def test_p2_numbering_matches_oracle(b, h):
     mesh = triangulate(b, h)
     space = build_space(mesh, 2)
-    cell_dofs, dof_coords, bdofs, barc = p2_numbering_oracle(mesh)
+    cell_dofs, dof_coords, bdofs = p2_numbering_oracle(mesh)
     assert space.dof_count == len(dof_coords)
     assert np.array_equal(space.cell_dofs, cell_dofs)
     assert np.array_equal(space.dof_coords, dof_coords)
     assert np.array_equal(space.boundary_dofs, bdofs)
-    assert np.array_equal(space.boundary_arc, barc)
 
 
 def boundary_mass_oracle(space):
@@ -185,31 +161,21 @@ def boundary_mass_oracle(space):
     pts = space.mesh.vertices[loop]
     seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     brow, bcol, bval = [], [], []
-    if space.order == 1:
-        for i in range(n):
-            a_, b_ = loop[i], loop[(i + 1) % n]
-            m = seg[i] / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-            for ii, di in enumerate((a_, b_)):
-                for jj, dj in enumerate((a_, b_)):
-                    brow.append(di)
-                    bcol.append(dj)
-                    bval.append(m[ii, jj])
-    else:
-        phis = np.stack([fem._p2_1d(t) for t in fem._G1])
-        mref = np.einsum("q,qi,qj->ij", fem._W1, phis, phis)
-        for i in range(n):
-            dofs = (space.boundary_dofs[2 * i],
-                    space.boundary_dofs[(2 * i + 2) % (2 * n)],
-                    space.boundary_dofs[2 * i + 1])
-            for ii in range(3):
-                for jj in range(3):
-                    brow.append(dofs[ii])
-                    bcol.append(dofs[jj])
-                    bval.append(seg[i] * mref[ii, jj])
+    phis = np.stack([fem._p2_1d(t) for t in fem._G1])
+    mref = np.einsum("q,qi,qj->ij", fem._W1, phis, phis)
+    for i in range(n):
+        dofs = (space.boundary_dofs[2 * i],
+                space.boundary_dofs[(2 * i + 2) % (2 * n)],
+                space.boundary_dofs[2 * i + 1])
+        for ii in range(3):
+            for jj in range(3):
+                brow.append(dofs[ii])
+                bcol.append(dofs[jj])
+                bval.append(seg[i] * mref[ii, jj])
     return np.asarray(brow), np.asarray(bcol), np.asarray(bval)
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [2])
 @pytest.mark.parametrize("b", [ellipse_boundary(100), wavy_boundary(),
                                two_graph_boundary()],
                          ids=["ellipse", "wavy", "two-graph"])
@@ -236,12 +202,8 @@ def stiffness_oracle(space):
     invT[:, 0, 1] = -e1[:, 1]
     invT[:, 1, 0] = -e2[:, 0]
     invT[:, 1, 1] = e1[:, 0]
-    if space.order == 1:
-        gref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])[None, :, :]
-        qw = np.array([0.5])
-    else:
-        gref = np.stack([fem._p2_grads(x, y) for x, y in fem._QP])
-        qw = fem._QW
+    gref = np.stack([fem._p2_grads(x, y) for x, y in fem._QP])
+    qw = fem._QW
     nloc = gref.shape[1]
     kloc = np.zeros((len(tris), nloc, nloc))
     for q in range(len(qw)):
@@ -254,7 +216,7 @@ def stiffness_oracle(space):
                          shape=(space.dof_count, space.dof_count)).tocsr()
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [2])
 @pytest.mark.parametrize("b", [ellipse_boundary(100), wavy_boundary(),
                                two_graph_boundary()],
                          ids=["ellipse", "wavy", "two-graph"])

@@ -1,4 +1,4 @@
-"""Geometry: support reconstruction, diameter, directional derivatives."""
+"""Geometry: support reconstruction, polyline and diameter."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull
 from scipy.spatial.distance import pdist
 
-from steklovmax import (AngleGrid, BoundaryField, SupportVector,
-                        compute_diameter, diameter_directional_derivative,
+from steklovmax import (AngleGrid, SupportVector, compute_diameter,
                         reconstruct_boundary)
 from steklovmax.errors import DegenerateBoundary, EmptyDiameterSet
 from steklovmax.geometry import BoundaryPolyline
@@ -66,22 +65,6 @@ def test_calipers_vs_brute_force_100_random_convex_polygons():
         rep = compute_diameter(BoundaryPolyline(hull))
         assert np.isclose(rep.diameter, pdist(hull).max(), rtol=0,
                           atol=1e-12)
-
-
-def test_diameter_directional_derivative_translation_zero():
-    b = BoundaryPolyline(np.array([[0, 0], [2, 0], [2, 1], [0, 1]], float))
-    rep = compute_diameter(b)
-    field = BoundaryField(np.tile([0.3, -0.4], (4, 1)))
-    assert abs(diameter_directional_derivative(b, rep, field)) < 1e-12
-
-
-def test_diameter_directional_derivative_dilation():
-    b = BoundaryPolyline(np.array([[0, 0], [2, 0], [2, 1], [0, 1]], float))
-    rep = compute_diameter(b)
-    field = BoundaryField(b.vertices.copy())
-    # dilation: d/dt of (1+t) D equals D
-    assert np.isclose(diameter_directional_derivative(b, rep, field),
-                      rep.diameter)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -47,14 +47,6 @@ def test_mismatched_lengths_rejected():
         GraphPair(np.zeros(3), np.ones(4), 2.0)
 
 
-def test_json_roundtrip_fields():
-    gp = make_lens(n=5)
-    d = gp.to_json_dict()
-    assert d["graphs"]["p"] == list(gp.p)
-    assert d["graphs"]["q"] == list(gp.q)
-    assert d["diameter"] == 2.0
-
-
 def test_diameter_of_lens_polyline():
     from steklovmax import compute_diameter
     gp = make_lens()

@@ -14,7 +14,7 @@ from steklovmax.graphs import GraphPair
 from steklovmax.meshing import (MERGE_FRAC, _boundary_is_chain,
                                 _merge_close_vertices, _segments_cross,
                                 _subdivide_chain, _triangle_quality,
-                                check_simple, clear_of_polyline,
+                                check_simple, clearance_test,
                                 points_in_polygon)
 from conftest import (convex_flat_start, disk_boundary, nonconvex_flat_start,
                       two_graph_boundary, wavy_boundary)
@@ -178,8 +178,8 @@ def test_clearance_matches_oracle(name, b):
     pts = probe_points(poly, seed=1)
     dist = distance_oracle(pts, poly)
     for r in (0.01, 0.034, 0.1, 0.5):
-        assert np.array_equal(clear_of_polyline(pts, poly, r), dist >= r)
-    assert clear_of_polyline(np.empty((0, 2)), poly, 0.1).shape == (0,)
+        assert np.array_equal(clearance_test(poly, r)(pts), dist >= r)
+    assert clearance_test(poly, 0.1)(np.empty((0, 2))).shape == (0,)
 
 
 def test_boundary_check_rejects_missing_chain_edge():
