@@ -33,7 +33,11 @@ MODES = ("optimize-convex", "optimize-nonconvex", "spectrum",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs of one CLI invocation."""
+    """Validated inputs of one CLI invocation.
+
+    opts, the run's OptimOptions, makes the numeric checks; it is not a
+    field, so result.json's config leaves it out.
+    """
 
     mode: str = "optimize-convex"
     k: int = 1
@@ -50,22 +54,20 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode: {self.mode!r}")
-        if self.n_angles % 2 != 0 or self.n_angles < 8:
-            raise ConfigError("n_angles must be even and >= 8")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.diameter <= 0 or self.tol <= 0:
-            raise ConfigError("diameter and tol must be positive")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         ini = self.initial
         if ini not in ("disk", "flat") and not ini.startswith("file:"):
             raise ConfigError(f"initial must be disk, flat, or file:<path>, "
                               f"got {ini!r}")
+        try:
+            opts = OptimOptions(k=self.k, n_angles=self.n_angles,
+                                diameter=self.diameter,
+                                max_iters=self.max_iters, stop_tol=self.tol,
+                                seed=self.seed, verbose=self.verbose)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "opts", opts)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -129,20 +131,20 @@ def _build_argparser():
     return ap
 
 
-def parse_config(argv, config_file=None):
+def parse_config(argv):
     """RunConfig from flags and optional config file; flags win.
 
     Returns (config, k_list); k_list has more than one entry only when --k
-    was a comma-separated list (fanned out across --jobs threads).
+    was a comma-separated list (fanned out across --jobs threads).  Every
+    k of the list is validated here, before any run starts.
     """
     try:
         args = _build_argparser().parse_args(argv)
     except SystemExit as exc:
         raise ConfigError("bad command line") from exc
     values = {}
-    path = args.config or config_file
-    if path:
-        values.update(read_config_file(path))
+    if args.config:
+        values.update(read_config_file(args.config))
     for key in _FIELD_TYPES:
         if key == "k":
             continue
@@ -157,17 +159,16 @@ def parse_config(argv, config_file=None):
             raise ConfigError(f"bad value for k: {args.k!r}") from exc
         if not k_list:
             raise ConfigError("k list is empty")
+        if len(set(k_list)) != len(k_list):
+            # two runs of one k would write the same k<k>/ directory
+            raise ConfigError(f"k list repeats a value: {args.k!r}")
     if "out_dir" not in values:
         values["out_dir"] = os.environ.get("STEKLOV_OUT_DIR", ".")
     cfg = RunConfig(k=k_list[0], **{k: v for k, v in values.items()
                                     if k != "k"})
+    for k in k_list[1:]:
+        replace(cfg, k=k)
     return cfg, k_list
-
-
-def _optim_options(cfg: RunConfig) -> OptimOptions:
-    return OptimOptions(k=cfg.k, n_angles=cfg.n_angles, diameter=cfg.diameter,
-                        max_iters=cfg.max_iters, stop_tol=cfg.tol,
-                        seed=cfg.seed, verbose=cfg.verbose)
 
 
 def _flatness(k):
@@ -273,14 +274,13 @@ def _emit_shape(out, b: BoundaryPolyline):
     b.to_svg(os.path.join(out, "shape.svg"))
 
 
-def _emit_spectrum(out, b: BoundaryPolyline, m=9):
+def _emit_spectrum(out, b: BoundaryPolyline, m):
     spec = solve_boundary(b, m)
     spectrum_to_csv(spec, os.path.join(out, "spectrum.csv"))
     return spec
 
 
-def _run_optimize(cfg, out):
-    opts = _optim_options(cfg)
+def _run_optimize(cfg, opts, out):
     if cfg.mode == "optimize-convex":
         state = ascend(_initial_support(cfg, opts), opts)
         var_key = "support"
@@ -300,11 +300,11 @@ def _run_optimize(cfg, out):
     return payload
 
 
-def _run_spectrum(cfg, out):
+def _run_spectrum(cfg, opts, out):
     if cfg.initial.startswith("file:"):
         b = _read_initial(cfg, BoundaryPolyline.from_csv)
     else:
-        b = reconstruct_boundary(_initial_support(cfg, _optim_options(cfg)))
+        b = reconstruct_boundary(_initial_support(cfg, opts))
     spec = _emit_spectrum(out, b, max(cfg.k + 3, 9))
     _emit_shape(out, b)
     rep = compute_diameter(b)
@@ -318,8 +318,7 @@ def _run_spectrum(cfg, out):
     }
 
 
-def _run_benchmark_disk(cfg, out):
-    opts = _optim_options(cfg)
+def _run_benchmark_disk(cfg, opts, out):
     b = reconstruct_boundary(disk_support(opts))
     spec = _emit_spectrum(out, b, 9)
     _emit_shape(out, b)
@@ -337,20 +336,18 @@ def _run_benchmark_disk(cfg, out):
     }
 
 
-def _run_experiment(cfg, out):
+def _run_experiment(cfg, opts, out):
     name = cfg.mode.split(":", 1)[1]
     if name == "slope":
         ps = PerturbationSpec(1.0, 1.0, (0.005, 0.01, 0.02))
         rep = slope_report(ps, n_angles=cfg.n_angles)
     elif name == "bound":
-        opts = _optim_options(cfg)
         triples = []
         for sv in (disk_support(opts), _flat_support(opts)):
             b = reconstruct_boundary(sv)
             triples.append((b, solve_boundary(b, cfg.k + 2), cfg.k))
         rep = bound_report(triples)
     else:
-        opts = _optim_options(cfg)
         initial = (_initial_support(cfg, opts) if cfg.k == 1
                    else _flat_support(opts))
         state = ascend(initial, opts)
@@ -369,13 +366,13 @@ def run(cfg: RunConfig):
     os.makedirs(cfg.out_dir, exist_ok=True)
     t0 = time.time()
     if cfg.mode in ("optimize-convex", "optimize-nonconvex"):
-        payload = _run_optimize(cfg, cfg.out_dir)
+        payload = _run_optimize(cfg, cfg.opts, cfg.out_dir)
     elif cfg.mode == "spectrum":
-        payload = _run_spectrum(cfg, cfg.out_dir)
+        payload = _run_spectrum(cfg, cfg.opts, cfg.out_dir)
     elif cfg.mode == "benchmark-disk":
-        payload = _run_benchmark_disk(cfg, cfg.out_dir)
+        payload = _run_benchmark_disk(cfg, cfg.opts, cfg.out_dir)
     else:
-        payload = _run_experiment(cfg, cfg.out_dir)
+        payload = _run_experiment(cfg, cfg.opts, cfg.out_dir)
     _write_json(os.path.join(cfg.out_dir, "result.json"), payload)
     _write_json(os.path.join(cfg.out_dir, "timing.json"),
                 {"wall_time_seconds": time.time() - t0})

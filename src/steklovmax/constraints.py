@@ -79,7 +79,7 @@ def build_constraint_set(n, h, d, p_min, convexity_min=0.0):
     return LinearConstraintSet(coeffs, bounds, tags)
 
 
-def project(x, cset: LinearConstraintSet, tol=FEAS_TOL, maxiter=None):
+def project(x, cset: LinearConstraintSet):
     """Euclidean projection of x onto the polyhedron of cset.
 
     Least-distance programming reduction (Lawson-Hanson): with the rows as
@@ -90,20 +90,20 @@ def project(x, cset: LinearConstraintSet, tol=FEAS_TOL, maxiter=None):
     x = np.asarray(x, dtype=float)
     g, hh = cset.coeffs, cset.bounds
     slack = hh - g @ x
-    if np.all(slack >= -tol):
+    if np.all(slack >= -FEAS_TOL):
         return x.copy()
     # least-distance form A z >= b with A = -G, b = -(h - G x)
     n = x.size
     e = np.vstack([-g.T, -slack[None, :]])
     f = np.zeros(n + 1)
     f[n] = 1.0
-    u, _ = nnls(e, f, maxiter=maxiter or 10 * max(e.shape))
+    u, _ = nnls(e, f, maxiter=10 * max(e.shape))
     r = e @ u - f
     if abs(r[n]) < 1e-14:
         raise ProjectionFailure("LDP residual degenerate (empty polyhedron?)")
     z = -r[:n] / r[n]
     out = x + z
     worst = float(np.min(hh - g @ out))
-    if worst < -1e3 * tol * max(1.0, float(np.abs(hh).max())):
+    if worst < -1e3 * FEAS_TOL * max(1.0, float(np.abs(hh).max())):
         raise ProjectionFailure(f"projection infeasible by {-worst:.3e}")
     return out

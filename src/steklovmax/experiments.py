@@ -14,6 +14,8 @@ import numpy as np
 from .geometry import BoundaryPolyline, compute_diameter
 from .optimize import solve_boundary
 
+SLOPE_REL_TOL = 0.10
+
 
 def wallis_integral(p):
     """j_p = integral of sin^p t over [0, pi]; recurrence j_p = j_{p-2}(p-1)/p."""
@@ -137,13 +139,13 @@ def disk_perturbation_slope(pspec: PerturbationSpec, n_angles=200):
     return measured, float(pspec.predicted_slope())
 
 
-def slope_report(pspec: PerturbationSpec, n_angles=200, rel_tol=0.10):
+def slope_report(pspec: PerturbationSpec, n_angles=200):
     """JSON-ready report of the perturbed-disk slope experiment."""
     measured, predicted = disk_perturbation_slope(pspec, n_angles)
     if predicted != 0.0:
-        ok = abs(measured - predicted) <= rel_tol * abs(predicted)
+        ok = abs(measured - predicted) <= SLOPE_REL_TOL * abs(predicted)
     else:
-        ok = abs(measured) <= rel_tol
+        ok = abs(measured) <= SLOPE_REL_TOL
     return {
         "experiment": "disk-perturbation-slope",
         "a2": pspec.a2,
@@ -152,7 +154,7 @@ def slope_report(pspec: PerturbationSpec, n_angles=200, rel_tol=0.10):
         "n_angles": n_angles,
         "measured_slope": measured,
         "predicted_slope": predicted,
-        "rel_tol": rel_tol,
+        "rel_tol": SLOPE_REL_TOL,
         "passed": bool(ok),
     }
 

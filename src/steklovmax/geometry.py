@@ -98,7 +98,8 @@ class BoundaryPolyline:
     def from_csv(cls, path):
         return cls(np.loadtxt(path, delimiter=",", ndmin=2))
 
-    def to_svg(self, path, width=400):
+    def to_svg(self, path):
+        width = 400
         v = self.vertices
         lo = v.min(axis=0)
         span = float(max(v.max(axis=0) - lo)) or 1.0
@@ -144,8 +145,8 @@ def reconstruct_boundary(sv: SupportVector) -> BoundaryPolyline:
     return BoundaryPolyline(verts)
 
 
-def compute_diameter(b: BoundaryPolyline, pair_tol: float = PAIR_TOL) -> DiameterReport:
-    """Diameter over the vertex set plus all pairs within pair_tol of it.
+def compute_diameter(b: BoundaryPolyline) -> DiameterReport:
+    """Diameter over the vertex set plus all pairs within PAIR_TOL of it.
 
     One squared-distance matrix gives both the maximum and the list of
     every near-diameter pair.
@@ -154,7 +155,7 @@ def compute_diameter(b: BoundaryPolyline, pair_tol: float = PAIR_TOL) -> Diamete
     x, y = v[:, 0], v[:, 1]
     d2 = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2
     diam = float(np.sqrt(d2.max()))
-    cut = (diam * (1.0 - pair_tol)) ** 2
+    cut = (diam * (1.0 - PAIR_TOL)) ** 2
     ii, jj = np.nonzero(np.triu(d2 >= cut, k=1))
     pairs = [(int(i), int(j)) for i, j in zip(ii, jj)]
     return DiameterReport(diameter=diam, pairs=pairs)

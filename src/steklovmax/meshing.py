@@ -387,9 +387,7 @@ def _boundary_is_chain(tris, nb, n):
     return np.array_equal(edges[uses == 1], np.sort(_chain_keys(nb, n)))
 
 
-def triangulate(b: BoundaryPolyline, target_h: float,
-                vertex_budget: int = VERTEX_BUDGET,
-                min_angle_deg: float = MIN_ANGLE_DEG) -> TriangleMesh:
+def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
     """Quality triangulation of the polygon interior.
 
     Boundary polyline vertices are preserved as mesh vertices (modulo
@@ -409,7 +407,7 @@ def triangulate(b: BoundaryPolyline, target_h: float,
 
     # protect very short boundary segments from further splitting
     min_split = 2.0 * merge_tol
-    min_angle = np.radians(min_angle_deg)
+    min_angle = np.radians(MIN_ANGLE_DEG)
 
     def delaunay_inside(pts, simp):
         """The Delaunay triangles simp of pts inside the polygon, less
@@ -466,7 +464,7 @@ def triangulate(b: BoundaryPolyline, target_h: float,
     qi = len(bnd) + np.arange(len(interior))
     try:
         for _ in range(60):
-            if len(bnd) + len(interior) > vertex_budget:
+            if len(bnd) + len(interior) > VERTEX_BUDGET:
                 raise MeshFailure("vertex budget exceeded")
             pts = np.vstack([bnd, interior])
             nb = len(bnd)

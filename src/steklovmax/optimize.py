@@ -21,8 +21,13 @@ from .gradients import (CLUSTER_TOL, cluster_indices, graph_gradient,
 from .graphs import GraphPair
 from .trefftz import HarmonicSpectrum, solve_harmonic
 
+STEP0 = 1.0
+BACKTRACK = 0.5
+ARMIJO = 1e-4
 STEP_MIN = 1e-12
-STEP_GROW_CAP = 16.0
+STEP_MAX = 16.0
+STOP_WINDOW = 10
+RESTART_SCALE = 0.02
 # failures of one candidate point: the step is rejected, not the run
 REJECTED = (ProjectionFailure, SelfIntersection, DegenerateBoundary,
             SolverFailure)
@@ -31,6 +36,13 @@ REJECTED = (ProjectionFailure, SelfIntersection, DegenerateBoundary,
 @dataclass(frozen=True)
 class OptimOptions:
     """Knobs of the ascent loop (defaults follow the reference setup).
+
+    Fixed loop constants: a pass starts at step STEP0 = 1, halves it
+    (BACKTRACK = 0.5) until the Armijo test (ARMIJO = 1e-4) passes, doubles
+    it after each accepted step up to STEP_MAX = 16, and ends when no step
+    above STEP_MIN = 1e-12 is accepted or the relative gain over the last
+    STOP_WINDOW = 10 accepted steps is below stop_tol.  Restarts perturb the
+    best point by noise of scale RESTART_SCALE = 0.02 times the diameter.
 
     mesh_h_factor and target_h are not used by the ascent, whose solver is
     mesh-free; they remain for callers that mesh the same shapes with
@@ -41,18 +53,13 @@ class OptimOptions:
     n_angles: int = 200
     diameter: float = 2.0
     max_iters: int = 500
-    step0: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
     stop_tol: float = 1e-7
-    stop_window: int = 10
     cluster_tol: float = CLUSTER_TOL
     mesh_h_factor: float = 0.05
     p_min_factor: float = 1e-3
     convexity_floor_factor: float = 5e-3
     graph_gap_factor: float = 1e-3
     restarts: int = 3
-    restart_scale: float = 0.02
     seed: int = 0
     verbose: bool = False
 
@@ -61,10 +68,12 @@ class OptimOptions:
             raise ValueError("k must be >= 1")
         if self.n_angles % 2 != 0 or self.n_angles < 8:
             raise ValueError("n_angles must be even and >= 8")
-        for name in ("diameter", "max_iters", "step0", "backtrack", "armijo",
-                     "stop_tol", "cluster_tol", "mesh_h_factor"):
+        for name in ("diameter", "max_iters", "stop_tol", "cluster_tol",
+                     "mesh_h_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def target_h(self):
@@ -141,11 +150,10 @@ def project_graphs(p, q, d, gap):
 
 
 def _stopped(history, opts):
-    w = opts.stop_window
-    if len(history) <= w:
+    if len(history) <= STOP_WINDOW:
         return False
     ref = max(abs(history[-1]), 1e-30)
-    return (history[-1] - history[-1 - w]) / ref < opts.stop_tol
+    return (history[-1] - history[-1 - STOP_WINDOW]) / ref < opts.stop_tol
 
 
 def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
@@ -166,7 +174,7 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
     obj = ev.objective(opts.k)
     history = [obj]
     best_x, best_ev, best_obj = x, ev, obj
-    step = opts.step0
+    step = STEP0
     converged = False
     message = "max_iters reached"
     it = 0
@@ -177,7 +185,7 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
             try:
                 cand = projector(x + step * g)
             except ProjectionFailure:
-                step *= opts.backtrack
+                step *= BACKTRACK
                 continue
             move = cand - x
             gain_pred = float(g @ move)
@@ -186,14 +194,14 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
             try:
                 cand_ev = evaluate(cand)
             except REJECTED:
-                step *= opts.backtrack
+                step *= BACKTRACK
                 continue
             cand_obj = cand_ev.objective(opts.k)
-            if cand_obj >= obj + opts.armijo * max(gain_pred, 0.0) and \
+            if cand_obj >= obj + ARMIJO * max(gain_pred, 0.0) and \
                     cand_obj >= obj:
                 accepted = True
                 break
-            step *= opts.backtrack
+            step *= BACKTRACK
         if not accepted:
             converged = True
             message = "no feasible ascent step"
@@ -208,7 +216,7 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
             lo, hi = cluster_indices(ev.spectrum, opts.k, opts.cluster_tol)
             print(f"{it}\t{obj:.8f}\t{step:.3e}\t{active_snapshot(x)}\t"
                   f"{hi - lo + 1}")
-        step = min(step / opts.backtrack, opts.step0 * STEP_GROW_CAP)
+        step = min(step / BACKTRACK, STEP_MAX)
         if _stopped(history, opts):
             converged = True
             message = "objective change below stop_tol"
@@ -217,19 +225,20 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
 
 
 def _multistart(x0, opts, evaluate, gradient, projector, active_snapshot,
-                callback=None):
+                variables, callback=None) -> OptimState:
     """Ascent with seeded random restarts around the incumbent best.
 
     The first pass starts at x0; each restart perturbs the best point found
-    so far with Gaussian noise of scale restart_scale * diameter, projects
+    so far with Gaussian noise of scale RESTART_SCALE * diameter, projects
     it feasible, and re-runs the loop.  Deterministic given opts.seed.
+    variables(x) maps the best point to the state's variables.
     """
     rng = np.random.default_rng(opts.seed)
     best = _ascent_loop(x0, opts, evaluate, gradient, projector,
                         active_snapshot, callback)
     history, iters = list(best[2]), best[3]
     for _ in range(opts.restarts):
-        noise = rng.normal(scale=opts.restart_scale * opts.diameter,
+        noise = rng.normal(scale=RESTART_SCALE * opts.diameter,
                            size=np.asarray(best[0]).shape)
         try:
             out = _ascent_loop(best[0] + noise, opts, evaluate, gradient,
@@ -240,7 +249,15 @@ def _multistart(x0, opts, evaluate, gradient, projector, active_snapshot,
         iters += out[3]
         if out[2][-1] > max(best[2]):
             best = out
-    return best[0], best[1], history, iters, best[4], best[5]
+    best_x, best_ev, _, _, converged, message = best
+    return OptimState(
+        variables=variables(best_x),
+        objective_history=history,
+        eigenvalues=best_ev.eigenvalues,
+        diameter=best_ev.diameter,
+        boundary=best_ev.boundary,
+        active_rows=active_snapshot(best_x),
+        iterations=iters, converged=converged, message=message)
 
 
 def ascend(initial: SupportVector, opts: OptimOptions,
@@ -270,17 +287,10 @@ def ascend(initial: SupportVector, opts: OptimOptions,
         return {tag: int(np.sum((cset.tags == tag) & (np.abs(r) < 1e-8)))
                 for tag in ("convexity", "width", "anchor", "positivity")}
 
-    best_x, best_ev, history, iters, converged, message = _multistart(
+    return _multistart(
         initial.p, opts, lambda p: evaluate_support(p, opts), gradient,
-        projector, active_snapshot, callback)
-    return OptimState(
-        variables=SupportVector(grid, best_x),
-        objective_history=history,
-        eigenvalues=best_ev.eigenvalues,
-        diameter=best_ev.diameter,
-        boundary=best_ev.boundary,
-        active_rows=active_snapshot(best_x),
-        iterations=iters, converged=converged, message=message)
+        projector, active_snapshot, lambda p: SupportVector(grid, p),
+        callback)
 
 
 def ascend_nonconvex(initial: GraphPair, opts: OptimOptions,
@@ -294,9 +304,6 @@ def ascend_nonconvex(initial: GraphPair, opts: OptimOptions,
     n = initial.n
     d = opts.diameter
     gap = opts.graph_gap_factor * d
-
-    def pack(gp):
-        return np.concatenate([gp.p, gp.q])
 
     def unpack(x):
         return GraphPair(x[:n], x[n:], d)
@@ -316,20 +323,13 @@ def ascend_nonconvex(initial: GraphPair, opts: OptimOptions,
                 "box": int(np.sum((np.abs(p) >= d / 2 - 1e-12)
                                   | (np.abs(q) >= d / 2 - 1e-12)))}
 
-    best_x, best_ev, history, iters, converged, message = _multistart(
-        pack(initial), opts, lambda x: evaluate_graphs(unpack(x), opts),
-        gradient, projector, active_snapshot, callback)
-    rep = best_ev.diameter
+    state = _multistart(
+        np.concatenate([initial.p, initial.q]), opts, lambda x: evaluate_graphs(unpack(x), opts),
+        gradient, projector, active_snapshot, unpack, callback)
+    rep = state.diameter
     if rep.diameter > d * (1.0 + 1e-3):
-        message += f"; diameter excess {rep.diameter - d:.3e}"
-    return OptimState(
-        variables=unpack(best_x),
-        objective_history=history,
-        eigenvalues=best_ev.eigenvalues,
-        diameter=rep,
-        boundary=best_ev.boundary,
-        active_rows=active_snapshot(best_x),
-        iterations=iters, converged=converged, message=message)
+        state.message += f"; diameter excess {rep.diameter - d:.3e}"
+    return state
 
 
 def disk_support(opts: OptimOptions) -> SupportVector:

@@ -1,7 +1,6 @@
 """CLI: config parsing, run modes, artifacts, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -93,6 +92,17 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
 
 def test_exit_code_config_error():
     assert main(["--n-angles", "15"]) == 3
+
+
+@pytest.mark.parametrize("ks", ["2,0", "1,1"], ids=["bad-entry", "repeated"])
+def test_bad_k_list_runs_nothing(tmp_path, ks):
+    # every k is checked before the first run; a repeated k would have two
+    # --jobs threads write the same k<k>/ directory
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--mode", "spectrum", "--k", ks, "--jobs", "2",
+                 "--out-dir", str(out)] + FAST) == 3
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steklovmax import AngleGrid, build_constraint_set, project
+from steklovmax import build_constraint_set, project
 from steklovmax.constraints import convexity_rows, diameter_rows
 
 N = 50

@@ -10,8 +10,8 @@ from steklovmax.errors import ClusteredEigenvalue
 from steklovmax.geometry import BoundaryPolyline
 from steklovmax.gradients import _pair_weights
 from steklovmax.graphs import GraphPair
-from conftest import (disk_boundary, ellipse_boundary, fem_spectrum,
-                      solve_boundary, vertex_normals)
+from conftest import (disk_boundary, fem_spectrum, solve_boundary,
+                      vertex_normals)
 
 FD_STEP = 1e-5
 

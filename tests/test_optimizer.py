@@ -9,7 +9,6 @@ from steklovmax import (AngleGrid, OptimOptions, SupportVector, ascend,
 import steklovmax
 from steklovmax import fem, meshing, optimize
 from steklovmax.errors import NoAscent, ProjectionFailure, SolverFailure
-from steklovmax.graphs import GraphPair
 from steklovmax.optimize import project_graphs
 
 FAST = dict(n_angles=60, max_iters=8, restarts=0)
@@ -99,6 +98,8 @@ def test_options_validation():
         OptimOptions(n_angles=31)
     with pytest.raises(ValueError):
         OptimOptions(diameter=-1.0)
+    with pytest.raises(ValueError):
+        OptimOptions(seed=-1)
 
 
 def test_initial_mismatch_rejected():
