@@ -29,6 +29,10 @@ from .optimize import (OptimOptions, ascend, ascend_nonconvex, disk_graphs,
 MODES = ("optimize-convex", "optimize-nonconvex", "spectrum",
          "experiment:slope", "experiment:bound", "experiment:multiplicity",
          "benchmark-disk")
+# the BLAS thread count changes the ascent's rounding, so timing.json
+# records these as set (null when unset)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,9 @@ class RunConfig:
             raise ConfigError(f"unknown mode: {self.mode!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        # OptimOptions would name its own field, stop_tol
+        if not self.tol > 0:
+            raise ConfigError("tol must be positive")
         ini = self.initial
         if ini not in ("disk", "flat") and not ini.startswith("file:"):
             raise ConfigError(f"initial must be disk, flat, or file:<path>, "
@@ -375,7 +382,10 @@ def run(cfg: RunConfig):
         payload = _run_experiment(cfg, cfg.opts, cfg.out_dir)
     _write_json(os.path.join(cfg.out_dir, "result.json"), payload)
     _write_json(os.path.join(cfg.out_dir, "timing.json"),
-                {"wall_time_seconds": time.time() - t0})
+                {"wall_time_seconds": time.time() - t0,
+                 "blas_thread_env": {name: os.environ.get(name)
+                                     for name in BLAS_THREAD_VARS},
+                 "cpu_count": os.cpu_count()})
     return payload
 
 

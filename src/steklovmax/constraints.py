@@ -15,6 +15,8 @@ from scipy.optimize import nnls
 from .errors import ProjectionFailure
 
 FEAS_TOL = 1e-10
+# is_feasible accepts every slack down to -FEASIBLE_TOL
+FEASIBLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,8 @@ class LinearConstraintSet:
         """Slack h - G x of every row at x; feasible iff all >= 0."""
         return self.bounds - self.coeffs @ x
 
-    def is_feasible(self, x, tol=1e-9):
-        return bool(np.all(self.residuals(x) >= -tol))
+    def is_feasible(self, x):
+        return bool(np.all(self.residuals(x) >= -FEASIBLE_TOL))
 
 
 def convexity_rows(n, h):

@@ -82,19 +82,29 @@ def check_simple(b: BoundaryPolyline):
     """Raise SelfIntersection if any two non-adjacent edges intersect.
 
     The pair named is the first crossing pair (i, j), i < j, in
-    lexicographic order.  Pairs whose bounding boxes overlap are tested
-    by float orientations; a pair with any orientation near zero goes
-    through the exact _segments_cross.
+    lexicographic order.  A sweep over the edges sorted by their lowest x
+    pairs each edge with the later ones whose lowest x is at most its
+    highest x: exactly the pairs whose x-ranges overlap.  Pairs whose
+    bounding boxes overlap are tested by float orientations; a pair with
+    any orientation near zero goes through the exact _segments_cross.
     """
     v = b.vertices
     n = len(v)
     ends = np.roll(v, -1, axis=0)
     lo = np.minimum(v, ends)
     hi = np.maximum(v, ends)
-    i, j = np.triu_indices(n, 2)
-    near = ~((i == 0) & (j == n - 1))
+    order = np.argsort(lo[:, 0])
+    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    count = stop - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), count)
+    second = first + 1 + np.arange(len(first)) - np.repeat(
+        np.cumsum(count) - count, count)
+    i = np.minimum(order[first], order[second])
+    j = np.maximum(order[first], order[second])
+    near = (j - i >= 2) & ~((i == 0) & (j == n - 1))
     near &= np.all((lo[j] <= hi[i]) & (hi[j] >= lo[i]), axis=1)
-    i, j = i[near], j[near]
+    pair = np.sort(i[near] * n + j[near])
+    i, j = pair // n, pair % n
     d1 = _orient_rows(v[j], ends[j], v[i])
     d2 = _orient_rows(v[j], ends[j], ends[i])
     d3 = _orient_rows(v[i], ends[i], v[j])

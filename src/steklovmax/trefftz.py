@@ -113,42 +113,25 @@ class HarmonicSpectrum:
 
 
 @lru_cache(maxsize=None)
-def _gauss(n):
-    """n-point Gauss-Legendre nodes and weights on [0, 1] (read-only)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
+def _rule(n, toward):
+    """n-point Gauss rule on [0, 1]: positions x and weights (read-only).
+
+    toward is 0 for a plain rule, -1 (+1) for one graded towards 0 (1):
+    the substitution x = s^GRADING turns a corner's r^beta into the
+    smoother s^(GRADING (beta + 1) - 1).
+    """
+    s, ws = np.polynomial.legendre.leggauss(n)
+    s, ws = 0.5 * (s + 1.0), 0.5 * ws
+    if toward < 0:
+        x, dx = s ** GRADING, GRADING * s ** (GRADING - 1)
+    elif toward > 0:
+        x = 1.0 - (1.0 - s) ** GRADING
+        dx = GRADING * (1.0 - s) ** (GRADING - 1)
+    else:
+        x, dx = s, np.ones(n)
+    w = ws * dx
     x.flags.writeable = w.flags.writeable = False
     return x, w
-
-
-def _panel_nodes(edge, a, b, n, toward):
-    """Gauss nodes on the panels [a, b] of the edges edge, n points each.
-
-    toward is 0 for a plain rule, -1 (+1) for one graded towards a (b):
-    the substitution x = s^GRADING turns a corner's r^beta into the
-    smoother s^(GRADING (beta + 1) - 1).  Returns (edge, lam, weight) with
-    weights per unit edge length.
-    """
-    out_edge, out_lam, out_w = [], [], []
-    key = 3 * n + toward + 1
-    for kk in np.unique(key):
-        npts, kind = divmod(int(kk), 3)
-        s, ws = _gauss(npts)
-        if kind == 0:
-            x, dx = s ** GRADING, GRADING * s ** (GRADING - 1)
-        elif kind == 2:
-            x = 1.0 - (1.0 - s) ** GRADING
-            dx = GRADING * (1.0 - s) ** (GRADING - 1)
-        else:
-            x, dx = s, np.ones(npts)
-        at = np.flatnonzero(key == kk)
-        h = (b[at] - a[at])[:, None]
-        out_edge.append(np.repeat(edge[at], npts))
-        out_lam.append((a[at][:, None] + h * x).ravel())
-        out_w.append((h * (ws * dx)).ravel())
-    edge, lam, w = (np.concatenate(x) for x in (out_edge, out_lam, out_w))
-    order = np.lexsort((lam, edge))
-    return edge[order], lam[order], w[order]
 
 
 def _quadrature(ell, size, graded):
@@ -165,66 +148,65 @@ def _quadrature(ell, size, graded):
     counts = np.minimum(counts, DEGREE + 1).astype(int)
     start, end = graded, np.roll(graded, -1)
     split = start | end
-    whole = np.flatnonzero(~split)
-    halves = np.flatnonzero(split)
     half = np.ceil(GAUSS_MIN + GAUSS_SLOPE * DEGREE * ell / (2 * size))
     half = np.minimum(half, DEGREE + 1).astype(int)
     graded_n = np.ceil(GAUSS_MIN + GAUSS_SLOPE * DEGREE * 2 * ell / size)
     graded_n = np.minimum(graded_n, GRADING * DEGREE + 1).astype(int)
-    n_lo = np.where(start, graded_n, half)[halves]
-    n_hi = np.where(end, graded_n, half)[halves]
-    zeros, ones = np.zeros(len(halves)), np.ones(len(halves))
-    edge, lam, w = _panel_nodes(
-        np.concatenate([whole, halves, halves]),
-        np.concatenate([np.zeros(len(whole)), zeros, 0.5 * ones]),
-        np.concatenate([np.ones(len(whole)), 0.5 * ones, ones]),
-        np.concatenate([counts[whole], n_lo, n_hi]),
-        np.concatenate([np.zeros(len(whole), dtype=int),
-                        -start[halves].astype(int),
-                        end[halves].astype(int)]))
-    return edge, lam, w * ell[edge]
+    # two panels per edge in edge order, [a, b] = [0, 1/2] and [1/2, 1] on
+    # a split edge; on a whole edge [0, 1] and an empty [1, 1]
+    mid = np.where(split, 0.5, 1.0)
+    a = np.column_stack([np.zeros(len(ell)), mid]).ravel()
+    b = np.column_stack([mid, np.ones(len(ell))]).ravel()
+    npts = np.column_stack([
+        np.where(split, np.where(start, graded_n, half), counts),
+        np.where(split, np.where(end, graded_n, half), 0)]).ravel()
+    toward = np.column_stack([-start.astype(int), end.astype(int)]).ravel()
+    rules = [_rule(p, t) for p, t in zip(npts.tolist(), toward.tolist())
+             if p > 0]
+    x = np.concatenate([r[0] for r in rules])
+    wx = np.concatenate([r[1] for r in rules])
+    edge = np.repeat(np.arange(len(ell)), 2).repeat(npts)
+    h = (b - a).repeat(npts)
+    return edge, a.repeat(npts) + h * x, h * wx * ell[edge]
 
 
 def _arnoldi(zeta, w):
     """Polynomials q_0..q_DEGREE orthonormal in sum_i w_i q(zeta_i) conj(.)
-    and their derivatives, at the nodes zeta.
+    and their derivatives, at the nodes zeta, times sqrt(w).
 
+    The rows V_k = sqrt(w) q_k are orthonormal in the plain inner product.
     q_{k+1} is zeta q_k orthogonalized against q_0..q_k (one classical
     Gram-Schmidt pass: a second leaves the basis's condition unchanged,
     and _r_factor orthonormalizes it anyway), so zeta q_k = sum_j H[j, k]
     q_j.  Differentiating that recurrence gives q_k' = sum_j T[j, k] q_j
-    with T strictly upper triangular, built from H alone.
+    with T strictly upper triangular; column k + 1 of T needs only the
+    columns of H up to k, so it is built in the same loop.
 
-    The basis is stored one row per polynomial next to Qw = conj(Q) w, so
-    a step is two contiguous matrix-vector products and allocates no
+    A step is two contiguous matrix-vector products and allocates no
     node-length temporaries.
-    Returns (Q, Q T) as views of shape (nodes, DEGREE + 1).
+    Returns (V, T^T V), of shape (DEGREE + 1, nodes): row k holds
+    sqrt(w) q_k and sqrt(w) q_k'.
     """
-    Q = np.empty((DEGREE + 1, len(zeta)), dtype=complex)
-    Qw = np.empty_like(Q)
+    V = np.empty((DEGREE + 1, len(zeta)), dtype=complex)
     H = np.zeros((DEGREE + 1, DEGREE + 1), dtype=complex)
-    Q[0] = 1.0 / np.sqrt(w.sum())
-    np.multiply(Q[0], w, out=Qw[0])
+    T = np.zeros_like(H)
+    V[0] = np.sqrt(w / w.sum())
     work = np.empty(len(zeta), dtype=complex)
     for k in range(DEGREE):
-        q, qw = Q[k + 1], Qw[k + 1]
-        np.multiply(zeta, Q[k], out=q)
-        h = Qw[:k + 1] @ q
-        np.matmul(h, Q[:k + 1], out=work)
-        q -= work
-        np.conjugate(q, out=qw)
-        qw *= w
+        v = V[k + 1]
+        np.multiply(zeta, V[k], out=v)
+        # h = V^H v, through conj(v): conjugating one row, not k + 1
+        h = np.conjugate(V[:k + 1] @ np.conjugate(v, out=work))
+        np.matmul(h, V[:k + 1], out=work)
+        v -= work
         H[:k + 1, k] = h
-        H[k + 1, k] = norm = np.sqrt((qw @ q).real)
-        q *= 1.0 / norm
-        qw *= 1.0 / norm
-    # q_k + zeta q_k' = sum_j H[j, k] q_j'
-    T = np.zeros_like(H)
-    for k in range(DEGREE):
-        rhs = H @ T[:, k] - T[:, :k + 1] @ H[:k + 1, k]
+        H[k + 1, k] = norm = np.sqrt(np.vdot(v, v).real)
+        v *= 1.0 / norm
+        # q_k + zeta q_k' = sum_j H[j, k] q_j'
+        rhs = H @ T[:, k] - T[:, :k + 1] @ h
         rhs[k] += 1.0
-        T[:, k + 1] = rhs / H[k + 1, k]
-    return Q.T, (T.T @ Q).T
+        T[:, k + 1] = rhs / norm
+    return V, T.T @ V
 
 
 def _corners(z, dz, orient):
@@ -281,15 +263,15 @@ def _r_factor(X):
     cond(X) < 1e7; the corner functions take the non-convex ascents'
     bases to 1e4..1e6).  One pass leaves X R^-1 orthonormal to about
     eps cond(X)^2, so the polynomial bases of convex shapes (cond 2..5)
-    take one.  X is C-contiguous: X.T is the F-contiguous view that the
-    Gram product reads without a copy.
+    take one.  X is F-contiguous, the layout the BLAS calls read without
+    a copy.
     """
-    R = _cholesky(blas.dsyrk(1.0, X.T))
+    R = _cholesky(blas.dsyrk(1.0, X, trans=1))
     rcond, _ = lapack.dtrcon(R)
     if rcond * ONE_PASS_COND >= 1.0:
         return R
-    # X R_1^-1 as a right-sided solve on an F-ordered copy of X: OpenBLAS
-    # takes about two thirds of the time of the left-sided R_1^-T X^T
+    # X R_1^-1 as a right-sided solve: OpenBLAS takes about two thirds of
+    # the time of the left-sided R_1^-T X^T
     Y = blas.dtrsm(1.0, R, X, side=1)
     return blas.dtrmm(1.0, _cholesky(blas.dsyrk(1.0, Y, trans=1)), R)
 
@@ -396,33 +378,30 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
     center = z.mean()
     scale = np.max(np.abs(z - center))
     corners = (at, z[at], gamma, n, 1.0 / (bisector * scale))
-    # X and Xn hold the basis Re q_0, Re q_1..q_M, Im q_1..q_M and the
-    # corner functions, and their outward normal derivatives, times the
-    # square roots of the weights.  Along a unit direction e the
-    # derivatives of Re q and Im q are Re and Im of q'(z) e, and the
-    # outward normal of a counterclockwise loop is -i tau.
-    Q, D = _arnoldi((nodes - center) / scale, w)
-    G = D[:, 1:] * (tau_q / scale)[:, None]
-    X = np.empty((len(nodes), nbasis))
-    X[:, 0] = Q[:, 0].real
-    X[:, 1:DEGREE + 1] = Q[:, 1:].real
-    X[:, DEGREE + 1:npoly] = Q[:, 1:].imag
-    del Q, D
-    Xn = np.empty_like(X)
-    Xn[:, 0] = 0.0
-    Xn[:, 1:DEGREE + 1] = orient * G.imag
-    Xn[:, DEGREE + 1:npoly] = -orient * G.real
+    # Xt and Xnt hold, one row per function, the basis Re q_0, Re q_1..q_M,
+    # Im q_1..q_M and the corner functions, and their outward normal
+    # derivatives, times the square roots of the weights.  Along a unit
+    # direction e the derivatives of Re q and Im q are Re and Im of q'(z) e,
+    # and the outward normal of a counterclockwise loop is -i tau.
+    root = np.sqrt(w)
+    V, DV = _arnoldi((nodes - center) / scale, w)
+    G = DV[1:] * (tau_q / scale)
+    Xt = np.empty((nbasis, len(nodes)))
+    Xt[0] = V[0].real
+    Xt[1:DEGREE + 1] = V[1:].real
+    Xt[DEGREE + 1:npoly] = V[1:].imag
+    del V, DV
+    Xnt = np.empty_like(Xt)
+    Xnt[0] = 0.0
+    np.multiply(G.imag, orient, out=Xnt[1:DEGREE + 1])
+    np.multiply(G.real, -orient, out=Xnt[DEGREE + 1:npoly])
     for cols, _, _, _, _, f, df in _corner_blocks(nodes, *corners[1:]):
-        at_cols = slice(npoly + cols.start, npoly + cols.stop)
-        X[:, at_cols] = f.imag
-        Xn[:, at_cols] = -orient * (df * (corners[4][cols]
-                                          * tau_q[:, None])).real
-    root = np.sqrt(w)[:, None]
-    X *= root
-    Xn *= root
-
-    A = X.T @ Xn
-    # a NaN or inf anywhere in X or Xn makes skew NaN, which fails this
+        rows = slice(npoly + cols.start, npoly + cols.stop)
+        Xt[rows] = f.imag.T * root
+        Xnt[rows] = (df * (corners[4][cols] * tau_q[:, None])).real.T * (
+            -orient * root)
+    A = Xt @ Xnt.T
+    # a NaN or inf anywhere in Xt or Xnt makes skew NaN, which fails this
     # guard; only that lets the LAPACK calls below skip their finiteness
     # checks, so it must stay first
     skew = np.linalg.norm(A - A.T) / np.linalg.norm(A)
@@ -431,7 +410,7 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
             f"boundary quadrature under-resolved for degree {DEGREE}: "
             f"||A - A^T|| / ||A|| = {skew:.1e} > {ANTISYMMETRY_TOL:.0e} "
             f"with {len(nodes)} Gauss nodes on {len(v)} edges")
-    R = _r_factor(X)
+    R = _r_factor(Xt.T)
     rdiag = np.abs(np.diag(R))
     if rdiag.min() <= 1e-13 * rdiag.max():
         raise SolverFailure("boundary mass matrix singular on the harmonic "
@@ -443,7 +422,8 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
     sigma, Y = eigh(0.25 * (C + C.T), subset_by_index=(0, m),
                     check_finite=False)
     coef = blas.dtrsm(1.0, R, Y)
-    u, un = (X @ coef) / root, (Xn @ coef) / root
+    root = root[:, None]
+    u, un = (Xt.T @ coef) / root, (Xnt.T @ coef) / root
     res = np.sqrt(w @ (un - u * sigma) ** 2)
     rel = res / np.maximum(sigma, 1.0 / size)
     if not np.all(rel <= RESIDUAL_TOL):
@@ -452,7 +432,8 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
             f"eigenfunction {j} not resolved: ||d_n u - sigma u|| / sigma "
             f"= {rel[j]:.2f} > {RESIDUAL_TOL} with {len(at)} corner "
             f"functions on {len(v)} vertices")
-    ut = (G @ (coef[1:DEGREE + 1] - 1j * coef[DEGREE + 1:npoly])).real
+    ut = (G.T @ (coef[1:DEGREE + 1] - 1j * coef[DEGREE + 1:npoly])).real
+    ut /= root
     return HarmonicSpectrum(sigma, partial(
         _samples, edge, lam, w, u, un, ut, nodes, tau_q, corners,
         coef[npoly:], sigma, dz, orient))

@@ -69,7 +69,8 @@ def nonconvex_flat_start():
 def arnoldi_oracle(zeta, w, degree):
     """Vandermonde with Arnoldi, one column per polynomial: the values and
     derivatives at zeta of q_0..q_degree, orthonormal in the w-weighted
-    inner product (the column-major form trefftz._arnoldi replaced)."""
+    inner product (the column-major, unweighted form that trefftz._arnoldi
+    replaced)."""
     Q = np.empty((len(zeta), degree + 1), dtype=complex)
     H = np.zeros((degree + 1, degree + 1), dtype=complex)
     Q[:, 0] = 1.0 / np.sqrt(w.sum())

@@ -1,6 +1,7 @@
 """CLI: config parsing, run modes, artifacts, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -122,6 +123,25 @@ def test_exit_code_bad_input(tmp_path, args):
     np.savetxt(tmp_path / "short.csv", np.ones(10), delimiter=",")
     argv = [a.format(tmp=tmp_path) for a in args]
     assert main(argv + ["--out-dir", str(tmp_path / "out")] + FAST) == 3
+
+
+def test_tol_zero_names_the_flag(capsys):
+    assert main(["--tol", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "tol must be positive" in err and "stop_tol" not in err
+
+
+def test_timing_records_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert main(["--mode", "spectrum", "--out-dir", str(tmp_path)] + FAST) == 0
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    env = timing["blas_thread_env"]
+    assert set(env) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS"}
+    assert env["OMP_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
+    assert timing["cpu_count"] == os.cpu_count()
+    assert timing["wall_time_seconds"] > 0
 
 
 def test_benchmark_disk_run(tmp_path):

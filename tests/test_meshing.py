@@ -399,6 +399,42 @@ def test_check_simple_matches_oracle(name, b):
     assert (pair is None) == (name in ("ellipse", "wavy", "two-graph"))
 
 
+def random_loops(rng, count):
+    """Vertex loops on a coarse integer grid, so vertical edges, shared
+    x-coordinates and vertices touching other edges are common: random
+    walks (mostly self-intersecting) and star-shaped loops (mostly simple).
+    Consecutive repeated vertices are dropped."""
+    for c in range(count):
+        n = int(rng.integers(3, 40))
+        if c % 2:
+            v = rng.integers(0, 6, size=(n, 2))
+        else:
+            theta = np.sort(rng.uniform(0, 2 * np.pi, n))
+            r = rng.uniform(4, 10, n)
+            v = np.rint(np.column_stack([r * np.cos(theta),
+                                         r * np.sin(theta)]))
+        v = v[np.any(v != np.roll(v, 1, axis=0), axis=1)].astype(float)
+        if len(v) >= 3:
+            yield BoundaryPolyline(v)
+
+
+def test_check_simple_matches_oracle_on_random_loops(monkeypatch):
+    exact = []
+    real = meshing._segments_cross
+
+    def counting(*args):
+        exact.append(1)
+        return real(*args)
+    monkeypatch.setattr(meshing, "_segments_cross", counting)
+    pairs = [first_crossing(b)
+             for b in random_loops(np.random.default_rng(11), 400)]
+    oracle = [check_simple_oracle(b)
+              for b in random_loops(np.random.default_rng(11), 400)]
+    assert pairs == oracle
+    assert 50 <= sum(p is None for p in pairs) <= len(pairs) - 50
+    assert exact    # collinear cases reached the exact test
+
+
 @pytest.mark.parametrize("name,b", SHAPES, ids=[c[0] for c in SHAPES])
 def test_subdivide_chain_matches_oracle(name, b):
     for h in (0.02, 0.1, 0.35):

@@ -195,8 +195,11 @@ def test_one_and_two_pass_agree(monkeypatch):
     pytest.param(wavy_boundary(), id="wavy"),
     pytest.param(two_graph_boundary(), id="two-graph")])
 def test_arnoldi_matches_oracle(monkeypatch, b):
+    # _arnoldi returns the rows sqrt(w) q_k and sqrt(w) q_k'
     zeta, w = _captured(monkeypatch, "_arnoldi", b)
-    Q, D = trefftz._arnoldi(zeta, w)
+    V, DV = trefftz._arnoldi(zeta, w)
+    root = np.sqrt(w)[:, None]
+    Q, D = V.T / root, DV.T / root
     Qo, Do = arnoldi_oracle(zeta, w, trefftz.DEGREE)
     assert Q.shape == Qo.shape and D.shape == Do.shape
     assert np.max(np.abs(Q - Qo)) <= 1e-13 * np.max(np.abs(Qo))
