@@ -12,10 +12,9 @@ from .errors import (ClusteredEigenvalue, ConfigError, DegenerateBoundary,
                      EmptyDiameterSet, MeshFailure, NoAscent,
                      ProjectionFailure, SelfIntersection, SolverFailure,
                      SteklovMaxError)
-from .experiments import (PerturbationSpec, ball_volume, check_bound,
+from .experiments import (PerturbationSpec, check_bound,
                           derive_bound_constant, disk_perturbation_slope,
-                          multiplicity_report, perturbation_constant,
-                          slope_report, wallis_integral)
+                          multiplicity_report, slope_report)
 from .fem import (FEMSpace, SteklovSpectrum, assemble, build_space,
                   solve_spectrum)
 from .geometry import (AngleGrid, BoundaryPolyline, DiameterReport,

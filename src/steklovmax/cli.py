@@ -11,15 +11,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from .errors import ConfigError, SteklovMaxError
 from .experiments import (PerturbationSpec, bound_report, check_bound,
                           multiplicity_report, slope_report)
-from .fem import spectrum_to_csv
 from .geometry import (AngleGrid, BoundaryPolyline, SupportVector,
                        compute_diameter, reconstruct_boundary)
 from .graphs import GraphPair
@@ -52,14 +50,11 @@ class RunConfig:
     seed: int = 0
     initial: str = "disk"
     out_dir: str = "."
-    jobs: int = 1
     verbose: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode: {self.mode!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         # OptimOptions would name its own field, stop_tol
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
@@ -124,8 +119,7 @@ def _build_argparser():
                     "under a diameter constraint.")
     ap.add_argument("--config", default=None, help="key = value config file")
     ap.add_argument("--mode", choices=MODES)
-    ap.add_argument("--k", type=str,
-                    help="eigenvalue index, or comma-separated list with --jobs")
+    ap.add_argument("--k", type=int, help="eigenvalue index")
     ap.add_argument("--n-angles", type=int, dest="n_angles")
     ap.add_argument("--diameter", type=float)
     ap.add_argument("--max-iters", type=int, dest="max_iters")
@@ -133,18 +127,12 @@ def _build_argparser():
     ap.add_argument("--seed", type=int)
     ap.add_argument("--initial")
     ap.add_argument("--out-dir", dest="out_dir")
-    ap.add_argument("--jobs", type=int)
     ap.add_argument("--verbose", action="store_true", default=None)
     return ap
 
 
 def parse_config(argv):
-    """RunConfig from flags and optional config file; flags win.
-
-    Returns (config, k_list); k_list has more than one entry only when --k
-    was a comma-separated list (fanned out across --jobs threads).  Every
-    k of the list is validated here, before any run starts.
-    """
+    """RunConfig from flags and optional config file; flags win."""
     try:
         args = _build_argparser().parse_args(argv)
     except SystemExit as exc:
@@ -153,29 +141,12 @@ def parse_config(argv):
     if args.config:
         values.update(read_config_file(args.config))
     for key in _FIELD_TYPES:
-        if key == "k":
-            continue
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    k_list = [values.pop("k")] if "k" in values else [1]
-    if args.k is not None:
-        try:
-            k_list = [int(s) for s in str(args.k).split(",") if s.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad value for k: {args.k!r}") from exc
-        if not k_list:
-            raise ConfigError("k list is empty")
-        if len(set(k_list)) != len(k_list):
-            # two runs of one k would write the same k<k>/ directory
-            raise ConfigError(f"k list repeats a value: {args.k!r}")
     if "out_dir" not in values:
         values["out_dir"] = os.environ.get("STEKLOV_OUT_DIR", ".")
-    cfg = RunConfig(k=k_list[0], **{k: v for k, v in values.items()
-                                    if k != "k"})
-    for k in k_list[1:]:
-        replace(cfg, k=k)
-    return cfg, k_list
+    return RunConfig(**values)
 
 
 def _flatness(k):
@@ -208,7 +179,8 @@ def _read_initial(cfg, parse):
         raise ConfigError(f"bad initial file {path}: {exc}") from exc
 
 
-def _initial_support(cfg, opts):
+def _initial_support(cfg):
+    opts = cfg.opts
     if cfg.initial == "disk":
         return disk_support(opts)
     if cfg.initial == "flat":
@@ -217,7 +189,8 @@ def _initial_support(cfg, opts):
         AngleGrid(opts.n_angles), np.loadtxt(path, delimiter=",", ndmin=1)))
 
 
-def _initial_graphs(cfg, opts):
+def _initial_graphs(cfg):
+    opts = cfg.opts
     if cfg.initial == "disk":
         return disk_graphs(opts)
     if cfg.initial == "flat":
@@ -260,22 +233,6 @@ def _best_objective(state):
     return max(state.objective_history)
 
 
-def _result_payload(cfg, state, variables_key, variables_value):
-    return {
-        "config": asdict(cfg),
-        "objective": _best_objective(state),
-        "eigenvalues": [float(x) for x in state.eigenvalues],
-        "diameter": state.diameter.diameter,
-        "diameter_pairs": _diameter_pairs(state.diameter),
-        variables_key: variables_value,
-        "history": [float(x) for x in state.objective_history],
-        "iterations": state.iterations,
-        "converged": state.converged,
-        "message": state.message,
-        "active_rows": state.active_rows,
-    }
-
-
 def _emit_shape(out, b: BoundaryPolyline):
     b.to_csv(os.path.join(out, "shape.csv"))
     b.to_svg(os.path.join(out, "shape.svg"))
@@ -283,103 +240,109 @@ def _emit_shape(out, b: BoundaryPolyline):
 
 def _emit_spectrum(out, b: BoundaryPolyline, m):
     spec = solve_boundary(b, m)
-    spectrum_to_csv(spec, os.path.join(out, "spectrum.csv"))
+    rows = np.column_stack([np.arange(len(spec.eigenvalues)),
+                            spec.eigenvalues])
+    np.savetxt(os.path.join(out, "spectrum.csv"), rows, delimiter=",",
+               fmt=("%d", "%.17g"))
     return spec
 
 
-def _run_optimize(cfg, opts, out):
+def _run_optimize(cfg):
     if cfg.mode == "optimize-convex":
-        state = ascend(_initial_support(cfg, opts), opts)
-        var_key = "support"
-        var_val = [float(x) for x in state.variables.p]
+        state = ascend(_initial_support(cfg), cfg.opts)
+        variables = {"support": [float(x) for x in state.variables.p]}
     else:
-        state = ascend_nonconvex(_initial_graphs(cfg, opts), opts)
-        var_key = "graphs"
-        var_val = {"p": [float(x) for x in state.variables.p],
-                   "q": [float(x) for x in state.variables.q]}
-    _emit_shape(out, state.boundary)
-    spec = _emit_spectrum(out, state.boundary, max(cfg.k + 3, 9))
-    _write_history(os.path.join(out, "history.csv"),
+        state = ascend_nonconvex(_initial_graphs(cfg), cfg.opts)
+        variables = {"graphs": {"p": [float(x) for x in state.variables.p],
+                                "q": [float(x) for x in state.variables.q]}}
+    _emit_shape(cfg.out_dir, state.boundary)
+    spec = _emit_spectrum(cfg.out_dir, state.boundary, max(cfg.k + 3, 9))
+    _write_history(os.path.join(cfg.out_dir, "history.csv"),
                    state.objective_history)
-    payload = _result_payload(cfg, state, var_key, var_val)
-    payload["multiplicity"] = multiplicity_report(state, cfg.k)
-    payload["bound_check"] = check_bound(state.boundary, spec, cfg.k)
-    return payload
+    return {
+        **variables,
+        "objective": _best_objective(state),
+        "eigenvalues": [float(x) for x in state.eigenvalues],
+        "diameter": state.diameter.diameter,
+        "diameter_pairs": _diameter_pairs(state.diameter),
+        "history": [float(x) for x in state.objective_history],
+        "iterations": state.iterations,
+        "converged": state.converged,
+        "message": state.message,
+        "active_rows": state.active_rows,
+        "multiplicity": multiplicity_report(state, cfg.k),
+        "bound_check": check_bound(state.boundary, spec, cfg.k),
+    }
 
 
-def _run_spectrum(cfg, opts, out):
+def _run_spectrum(cfg):
     if cfg.initial.startswith("file:"):
         b = _read_initial(cfg, BoundaryPolyline.from_csv)
     else:
-        b = reconstruct_boundary(_initial_support(cfg, opts))
-    spec = _emit_spectrum(out, b, max(cfg.k + 3, 9))
-    _emit_shape(out, b)
+        b = reconstruct_boundary(_initial_support(cfg))
+    spec = _emit_spectrum(cfg.out_dir, b, max(cfg.k + 3, 9))
+    _emit_shape(cfg.out_dir, b)
     rep = compute_diameter(b)
     return {
-        "config": asdict(cfg),
         "objective": float(spec.eigenvalues[cfg.k]) * rep.diameter,
         "eigenvalues": [float(x) for x in spec.eigenvalues],
         "diameter": rep.diameter,
         "diameter_pairs": _diameter_pairs(rep),
-        "history": [],
     }
 
 
-def _run_benchmark_disk(cfg, opts, out):
-    b = reconstruct_boundary(disk_support(opts))
-    spec = _emit_spectrum(out, b, 9)
-    _emit_shape(out, b)
+def _run_benchmark_disk(cfg):
+    b = reconstruct_boundary(disk_support(cfg.opts))
+    spec = _emit_spectrum(cfg.out_dir, b, 9)
+    _emit_shape(cfg.out_dir, b)
     analytic = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4], dtype=float)
     measured = np.asarray(spec.eigenvalues[:9]) * (cfg.diameter / 2.0)
     err = np.abs(measured[1:] - analytic[1:]) / analytic[1:]
     return {
-        "config": asdict(cfg),
         "eigenvalues": [float(x) for x in spec.eigenvalues],
         "scaled_eigenvalues": [float(x) for x in measured],
         "analytic": [float(x) for x in analytic],
         "max_rel_error": float(err.max()),
         "passed": bool(err.max() < 5e-3),
-        "history": [],
     }
 
 
-def _run_experiment(cfg, opts, out):
+def _run_experiment(cfg):
     name = cfg.mode.split(":", 1)[1]
     if name == "slope":
         ps = PerturbationSpec(1.0, 1.0, (0.005, 0.01, 0.02))
-        rep = slope_report(ps, n_angles=cfg.n_angles)
-    elif name == "bound":
+        return slope_report(ps, n_angles=cfg.n_angles)
+    if name == "bound":
         triples = []
-        for sv in (disk_support(opts), _flat_support(opts)):
+        for sv in (disk_support(cfg.opts), _flat_support(cfg.opts)):
             b = reconstruct_boundary(sv)
             triples.append((b, solve_boundary(b, cfg.k + 2), cfg.k))
-        rep = bound_report(triples)
-    else:
-        initial = (_initial_support(cfg, opts) if cfg.k == 1
-                   else _flat_support(opts))
-        state = ascend(initial, opts)
-        rep = multiplicity_report(state, cfg.k)
-        rep["objective"] = _best_objective(state)
-        _emit_shape(out, state.boundary)
-    rep = dict(rep)
-    rep["config"] = asdict(cfg)
-    rep.setdefault("history", [])
-    return rep
+        return bound_report(triples)
+    initial = (_initial_support(cfg) if cfg.k == 1
+               else _flat_support(cfg.opts))
+    state = ascend(initial, cfg.opts)
+    _emit_shape(cfg.out_dir, state.boundary)
+    return {**multiplicity_report(state, cfg.k),
+            "objective": _best_objective(state)}
 
 
 def run(cfg: RunConfig):
     """Execute one configured run; returns the result payload written to
-    result.json (the wall time goes to timing.json)."""
+    result.json (the wall time goes to timing.json).  Every payload
+    records the run's config and its objective history (empty when the
+    mode runs no ascent)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     t0 = time.time()
     if cfg.mode in ("optimize-convex", "optimize-nonconvex"):
-        payload = _run_optimize(cfg, cfg.opts, cfg.out_dir)
+        payload = _run_optimize(cfg)
     elif cfg.mode == "spectrum":
-        payload = _run_spectrum(cfg, cfg.opts, cfg.out_dir)
+        payload = _run_spectrum(cfg)
     elif cfg.mode == "benchmark-disk":
-        payload = _run_benchmark_disk(cfg, cfg.opts, cfg.out_dir)
+        payload = _run_benchmark_disk(cfg)
     else:
-        payload = _run_experiment(cfg, cfg.opts, cfg.out_dir)
+        payload = _run_experiment(cfg)
+    payload["config"] = asdict(cfg)
+    payload.setdefault("history", [])
     _write_json(os.path.join(cfg.out_dir, "result.json"), payload)
     _write_json(os.path.join(cfg.out_dir, "timing.json"),
                 {"wall_time_seconds": time.time() - t0,
@@ -389,27 +352,10 @@ def run(cfg: RunConfig):
     return payload
 
 
-def _run_one_k(cfg, k, namespaced):
-    sub = os.path.join(cfg.out_dir, f"k{k}") if namespaced else cfg.out_dir
-    return run(replace(cfg, k=k, out_dir=sub))
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg, k_list = parse_config(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        if len(k_list) == 1:
-            _run_one_k(cfg, k_list[0], namespaced=False)
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                futures = [pool.submit(_run_one_k, cfg, k, True)
-                           for k in k_list]
-                for fut in futures:
-                    fut.result()
+        run(parse_config(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -2,9 +2,8 @@
 bound, and multiplicity at computed optima.
 
 Each experiment returns a plain dict (JSON-serializable report) holding the
-inputs, measured and predicted values, and a pass/fail verdict.  The general
-dimension-d constants are implemented as written formulas but only d = 2 is
-exercised numerically.
+inputs, measured and predicted values, and a pass/fail verdict.  The
+paper's dimension-d constants appear in their closed forms at d = 2.
 """
 
 from dataclasses import dataclass
@@ -15,39 +14,6 @@ from .geometry import BoundaryPolyline, compute_diameter
 from .optimize import solve_boundary
 
 SLOPE_REL_TOL = 0.10
-
-
-def wallis_integral(p):
-    """j_p = integral of sin^p t over [0, pi]; recurrence j_p = j_{p-2}(p-1)/p."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    j = [np.pi, 2.0]
-    for q in range(2, p + 1):
-        j.append(j[q - 2] * (q - 1) / q)
-    return j[p]
-
-
-def ball_volume(m):
-    """Volume of the unit ball in R^m; omega_0 = 1, omega_1 = 2, recurrence
-    omega_m = omega_{m-2} * 2 pi / m."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    vols = [1.0, 2.0]
-    for q in range(2, m + 1):
-        vols.append(vols[q - 2] * 2.0 * np.pi / q)
-    return vols[m]
-
-
-def perturbation_constant(d=2):
-    """The constant K in the first-order expansion sigma_1(B_eps) = 1 - eps K a2.
-
-    K(d) = (d^2 - 1) pi / (2 omega_d) * prod_{p=3}^{d} j_p; the product is
-    empty for d = 2 and K(2) = 3 pi / (2 pi) = 3/2.
-    """
-    prod = 1.0
-    for p in range(3, d + 1):
-        prod *= wallis_integral(p)
-    return (d * d - 1) * np.pi / (2.0 * ball_volume(d)) * prod
 
 
 @dataclass(frozen=True)
@@ -69,24 +35,21 @@ class PerturbationSpec:
         object.__setattr__(self, "epsilons", eps)
 
     def predicted_slope(self):
-        """First-order slope of eps -> D(B_eps) sigma_1(B_eps) at eps = 0."""
-        K = perturbation_constant(2)
-        return 2.0 * (self.a4 - (K - 1.0) * self.a2)
+        """First-order slope of eps -> D(B_eps) sigma_1(B_eps) at eps = 0.
+
+        2 (a4 - (K - 1) a2) with K(2) = (2^2 - 1) pi / (2 omega_2) = 3/2.
+        """
+        return 2.0 * (self.a4 - 0.5 * self.a2)
 
 
 def derive_bound_constant(k) -> float:
-    """C(2,k) = [2(k+1)]^(d+1) / (4 C_d) at d = 2, the constant of the
-    upper bound sigma_k <= C(2,k) |Omega| / D^3.
+    """Constant of the upper bound sigma_k <= C(2,k) |Omega| / D^3.
 
-    C_d = omega_{d-2} / ((d-1) omega_{d-1}^((d-2)/(d-1))); with omega_0 = 1
-    and omega_1 = 2, C_2 = 1, so C(2,k) = [2(k+1)]^3 / 4 = 2 (k+1)^3.
+    C(2,k) = [2(k+1)]^3 / (4 C_2) with C_2 = omega_0 / omega_1^0 = 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = 2
-    c_d = ball_volume(d - 2) / ((d - 1) * ball_volume(d - 1) ** ((d - 2) / (d - 1)))
-    val = (2.0 * (k + 1)) ** (d + 1) / (4.0 * c_d)
-    return float(val)
+    return float(2 * (k + 1) ** 3)
 
 
 def check_bound(b: BoundaryPolyline, spectrum, k):

@@ -231,7 +231,3 @@ def solve_spectrum(space: FEMSpace, K, B, m: int) -> SteklovSpectrum:
                            samples=_boundary_samples(space, y, w),
                            space=space, b_boundary=Bbb)
 
-
-def spectrum_to_csv(spec: SteklovSpectrum, path):
-    rows = np.column_stack([np.arange(len(spec.eigenvalues)), spec.eigenvalues])
-    np.savetxt(path, rows, delimiter=",", fmt=("%d", "%.17g"))

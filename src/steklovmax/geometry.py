@@ -1,4 +1,5 @@
-"""Discrete support functions, boundary reconstruction and diameter geometry.
+"""Discrete support functions, boundary reconstruction, diameter geometry
+and the simple-polygon check.
 
 A convex planar body is described by the values ``p[i]`` of its support
 function on a uniform angle grid.  All index arithmetic is cyclic mod N.
@@ -8,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBoundary, EmptyDiameterSet
+from .errors import DegenerateBoundary, EmptyDiameterSet, SelfIntersection
 
 PAIR_TOL = 1e-8
 
@@ -159,3 +160,93 @@ def compute_diameter(b: BoundaryPolyline) -> DiameterReport:
     ii, jj = np.nonzero(np.triu(d2 >= cut, k=1))
     pairs = [(int(i), int(j)) for i, j in zip(ii, jj)]
     return DiameterReport(diameter=diam, pairs=pairs)
+
+
+def _orient(a, b, c):
+    """Sign of the cross product (b-a) x (c-a); exact fallback near zero."""
+    acx = a[0] - c[0]
+    bcx = b[0] - c[0]
+    acy = a[1] - c[1]
+    bcy = b[1] - c[1]
+    det = acx * bcy - acy * bcx
+    err = 3.3e-16 * (abs(acx * bcy) + abs(acy * bcx))
+    if abs(det) > err:
+        return 1.0 if det > 0 else -1.0
+    from fractions import Fraction as F
+    det = (F(a[0]) - F(c[0])) * (F(b[1]) - F(c[1])) \
+        - (F(a[1]) - F(c[1])) * (F(b[0]) - F(c[0]))
+    return 0.0 if det == 0 else (1.0 if det > 0 else -1.0)
+
+
+def _segments_cross(a, b, c, d):
+    """True iff closed segments ab and cd intersect."""
+    d1 = _orient(c, d, a)
+    d2 = _orient(c, d, b)
+    d3 = _orient(a, b, c)
+    d4 = _orient(a, b, d)
+    if d1 != d2 and d3 != d4:
+        return True
+
+    def on(p, q, r):
+        return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+                and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+    if d1 == 0 and on(c, d, a):
+        return True
+    if d2 == 0 and on(c, d, b):
+        return True
+    if d3 == 0 and on(a, b, c):
+        return True
+    if d4 == 0 and on(a, b, d):
+        return True
+    return False
+
+
+def _orient_rows(a, b, c):
+    """_orient over rows of a, b, c: +-1 where the float determinant
+    decides the sign, nan where _orient takes its exact fallback."""
+    acx = a[:, 0] - c[:, 0]
+    bcx = b[:, 0] - c[:, 0]
+    acy = a[:, 1] - c[:, 1]
+    bcy = b[:, 1] - c[:, 1]
+    det = acx * bcy - acy * bcx
+    err = 3.3e-16 * (np.abs(acx * bcy) + np.abs(acy * bcx))
+    return np.where(np.abs(det) > err, np.sign(det), np.nan)
+
+
+def check_simple(b: BoundaryPolyline):
+    """Raise SelfIntersection if any two non-adjacent edges intersect.
+
+    The pair named is the first crossing pair (i, j), i < j, in
+    lexicographic order.  A sweep over the edges sorted by their lowest x
+    pairs each edge with the later ones whose lowest x is at most its
+    highest x: exactly the pairs whose x-ranges overlap.  Pairs whose
+    bounding boxes overlap are tested by float orientations; a pair with
+    any orientation near zero goes through the exact _segments_cross.
+    """
+    v = b.vertices
+    n = len(v)
+    ends = np.roll(v, -1, axis=0)
+    lo = np.minimum(v, ends)
+    hi = np.maximum(v, ends)
+    order = np.argsort(lo[:, 0])
+    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    count = stop - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), count)
+    second = first + 1 + np.arange(len(first)) - np.repeat(
+        np.cumsum(count) - count, count)
+    i = np.minimum(order[first], order[second])
+    j = np.maximum(order[first], order[second])
+    near = (j - i >= 2) & ~((i == 0) & (j == n - 1))
+    near &= np.all((lo[j] <= hi[i]) & (hi[j] >= lo[i]), axis=1)
+    pair = np.sort(i[near] * n + j[near])
+    i, j = pair // n, pair % n
+    d1 = _orient_rows(v[j], ends[j], v[i])
+    d2 = _orient_rows(v[j], ends[j], ends[i])
+    d3 = _orient_rows(v[i], ends[i], v[j])
+    d4 = _orient_rows(v[i], ends[i], ends[j])
+    cross = (d1 != d2) & (d3 != d4)
+    for p in np.nonzero(np.isnan(d1 + d2 + d3 + d4))[0]:
+        cross[p] = _segments_cross(v[i[p]], ends[i[p]], v[j[p]], ends[j[p]])
+    if cross.any():
+        p = int(np.argmax(cross))
+        raise SelfIntersection(int(i[p]), int(j[p]))

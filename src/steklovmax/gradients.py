@@ -103,7 +103,7 @@ def _pair_weights(spec, a, bb, b: BoundaryPolyline):
         for c in (0, 1)]) + s.basis_motion[a, bb]
 
 
-def _gradient_rows(spec, k, b, transform, cluster_tol):
+def _gradient_rows(spec, k, b, transform):
     """Gradient entries through a linear map of vertex-velocity weights.
 
     transform maps a weight array W (n_vertices, 2) to the vector of
@@ -117,7 +117,7 @@ def _gradient_rows(spec, k, b, transform, cluster_tol):
     first-order gain predicted along d = g/|g| is 0.400 where finite
     differences give 0.100).
     """
-    lo, hi = cluster_indices(spec, k, cluster_tol)
+    lo, hi = cluster_indices(spec, k)
     if lo == hi:
         return transform(_pair_weights(spec, k, k, b))
     m = hi - lo + 1
@@ -129,15 +129,14 @@ def _gradient_rows(spec, k, b, transform, cluster_tol):
     return np.linalg.eigvalsh(mats)[:, 0]
 
 
-def vertex_field_derivative(spec, k, b: BoundaryPolyline,
-                            field, cluster_tol=CLUSTER_TOL) -> float:
+def vertex_field_derivative(spec, k, b: BoundaryPolyline, field) -> float:
     """Derivative of a simple sigma_k under a per-vertex velocity field.
 
     field is an (n, 2) array, one 2D velocity per polyline vertex; the
     boundary moves piecewise linearly.
     Raises ClusteredEigenvalue when the gap test fails.
     """
-    lo, hi = cluster_indices(spec, k, cluster_tol)
+    lo, hi = cluster_indices(spec, k)
     if lo != hi:
         raise ClusteredEigenvalue(
             f"sigma_{k} clusters with indices [{lo}, {hi}]")
@@ -147,8 +146,7 @@ def vertex_field_derivative(spec, k, b: BoundaryPolyline,
     return float(np.sum(vals * _pair_weights(spec, k, k, b)))
 
 
-def support_gradient(spec, k, b: BoundaryPolyline,
-                     cluster_tol=CLUSTER_TOL) -> np.ndarray:
+def support_gradient(spec, k, b: BoundaryPolyline) -> np.ndarray:
     """Gradient of sigma_k with respect to every support value p_i.
 
     Entry i is the derivative under the exact vertex velocity of the
@@ -168,11 +166,10 @@ def support_gradient(spec, k, b: BoundaryPolyline,
         wt = np.einsum("ij,ij->i", tth, W)
         return wn + half_h * (np.roll(wt, 1) - np.roll(wt, -1))
 
-    return _gradient_rows(spec, k, b, transform, cluster_tol)
+    return _gradient_rows(spec, k, b, transform)
 
 
-def graph_gradient(spec, k, gp: GraphPair,
-                   b: BoundaryPolyline, cluster_tol=CLUSTER_TOL):
+def graph_gradient(spec, k, gp: GraphPair, b: BoundaryPolyline):
     """Gradients of sigma_k with respect to lower-graph values p and
     upper-graph values q (vertical vertex perturbations V = (0, chi_i)).
 
@@ -184,6 +181,6 @@ def graph_gradient(spec, k, gp: GraphPair,
     def transform(W):
         return np.concatenate([W[lower, 1], W[upper, 1]])
 
-    g = _gradient_rows(spec, k, b, transform, cluster_tol)
+    g = _gradient_rows(spec, k, b, transform)
     n = gp.n
     return g[:n], g[n:]

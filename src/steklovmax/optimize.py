@@ -54,22 +54,24 @@ class OptimOptions:
     diameter: float = 2.0
     max_iters: int = 500
     stop_tol: float = 1e-7
-    cluster_tol: float = CLUSTER_TOL
     mesh_h_factor: float = 0.05
-    p_min_factor: float = 1e-3
-    convexity_floor_factor: float = 5e-3
-    graph_gap_factor: float = 1e-3
     restarts: int = 3
     seed: int = 0
     verbose: bool = False
+
+    # constants, not fields: the cluster tolerance of the gradients and
+    # the projection margins as fractions of the diameter
+    cluster_tol = CLUSTER_TOL
+    p_min_factor = 1e-3
+    convexity_floor_factor = 5e-3
+    graph_gap_factor = 1e-3
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.n_angles % 2 != 0 or self.n_angles < 8:
             raise ValueError("n_angles must be even and >= 8")
-        for name in ("diameter", "max_iters", "stop_tol", "cluster_tol",
-                     "mesh_h_factor"):
+        for name in ("diameter", "max_iters", "stop_tol", "mesh_h_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.seed < 0:
@@ -213,7 +215,7 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
         if callback is not None:
             callback(it, x, ev)
         if opts.verbose:
-            lo, hi = cluster_indices(ev.spectrum, opts.k, opts.cluster_tol)
+            lo, hi = cluster_indices(ev.spectrum, opts.k)
             print(f"{it}\t{obj:.8f}\t{step:.3e}\t{active_snapshot(x)}\t"
                   f"{hi - lo + 1}")
         step = min(step / BACKTRACK, STEP_MAX)
@@ -279,8 +281,7 @@ def ascend(initial: SupportVector, opts: OptimOptions,
         return project(p, cset)
 
     def gradient(p, ev):
-        return support_gradient(ev.spectrum, opts.k, ev.boundary,
-                                cluster_tol=opts.cluster_tol)
+        return support_gradient(ev.spectrum, opts.k, ev.boundary)
 
     def active_snapshot(p):
         r = cset.residuals(p)
@@ -313,8 +314,7 @@ def ascend_nonconvex(initial: GraphPair, opts: OptimOptions,
         return np.concatenate([p, q])
 
     def gradient(x, ev):
-        gl, gu = graph_gradient(ev.spectrum, opts.k, unpack(x), ev.boundary,
-                                cluster_tol=opts.cluster_tol)
+        gl, gu = graph_gradient(ev.spectrum, opts.k, unpack(x), ev.boundary)
         return np.concatenate([gl, gu])
 
     def active_snapshot(x):

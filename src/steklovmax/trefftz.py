@@ -44,9 +44,8 @@ import numpy as np
 from scipy.linalg import blas, eigh, lapack
 
 from .errors import SolverFailure
-from .geometry import BoundaryPolyline
+from .geometry import BoundaryPolyline, check_simple
 from .gradients import BoundarySamples
-from .meshing import check_simple
 
 # 91 polynomial basis functions: degree 45 resolves sigma_1..sigma_5 of a
 # five-lobed star (r = 1 + 0.15 cos 5 theta) to 8e-5 relative, degree 30

@@ -17,25 +17,20 @@ FAST = ["--n-angles", "100"]
 
 
 def test_defaults():
-    cfg, ks = parse_config([])
+    cfg = parse_config([])
     assert cfg.mode == "optimize-convex"
-    assert ks == [1]
+    assert cfg.k == 1
     assert cfg.n_angles == 200
     assert cfg.diameter == 2.0
 
 
 def test_flag_parsing():
-    cfg, ks = parse_config(["--mode", "spectrum", "--k", "2", "--n-angles",
-                            "100", "--diameter", "2", "--seed", "3"])
+    cfg = parse_config(["--mode", "spectrum", "--k", "2", "--n-angles",
+                        "100", "--diameter", "2", "--seed", "3"])
     assert cfg.mode == "spectrum"
-    assert ks == [2]
+    assert cfg.k == 2
     assert cfg.n_angles == 100
     assert cfg.seed == 3
-
-
-def test_k_list():
-    _, ks = parse_config(["--k", "1,2,3", "--jobs", "2"])
-    assert ks == [1, 2, 3]
 
 
 def test_odd_n_angles_rejected():
@@ -56,17 +51,18 @@ def test_bad_initial_rejected():
 def test_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nmode = spectrum\nn-angles = 100  # inline\n"
-                    "seed = 9\n")
+                    "seed = 9\nk = 2\n")
     vals = read_config_file(path)
-    assert vals == {"mode": "spectrum", "n_angles": 100, "seed": 9}
-    cfg, _ = parse_config(["--config", str(path)])
+    assert vals == {"mode": "spectrum", "n_angles": 100, "seed": 9, "k": 2}
+    cfg = parse_config(["--config", str(path)])
     assert cfg.mode == "spectrum" and cfg.n_angles == 100 and cfg.seed == 9
+    assert cfg.k == 2
 
 
 def test_flags_override_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 9\nn-angles = 100\n")
-    cfg, _ = parse_config(["--config", str(path), "--seed", "4"])
+    cfg = parse_config(["--config", str(path), "--seed", "4"])
     assert cfg.seed == 4
     assert cfg.n_angles == 100
 
@@ -87,7 +83,7 @@ def test_config_file_bad_value(tmp_path):
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("STEKLOV_OUT_DIR", str(tmp_path))
-    cfg, _ = parse_config([])
+    cfg = parse_config([])
     assert cfg.out_dir == str(tmp_path)
 
 
@@ -95,13 +91,13 @@ def test_exit_code_config_error():
     assert main(["--n-angles", "15"]) == 3
 
 
-@pytest.mark.parametrize("ks", ["2,0", "1,1"], ids=["bad-entry", "repeated"])
+@pytest.mark.parametrize("ks", ["2,0", "1,2", "1,1"],
+                         ids=["bad-entry", "list", "repeated"])
 def test_bad_k_list_runs_nothing(tmp_path, ks):
-    # every k is checked before the first run; a repeated k would have two
-    # --jobs threads write the same k<k>/ directory
+    # one k per run: a comma list is a configuration error, not a fan-out
     out = tmp_path / "out"
     out.mkdir()
-    assert main(["--mode", "spectrum", "--k", ks, "--jobs", "2",
+    assert main(["--mode", "spectrum", "--k", ks,
                  "--out-dir", str(out)] + FAST) == 3
     assert list(out.iterdir()) == []
 
@@ -217,20 +213,16 @@ def test_experiment_bound_mode(tmp_path):
     assert payload["passed"]
 
 
-def test_jobs_fanout_namespaced(tmp_path):
-    par = tmp_path / "par"
-    rc = main(["--mode", "spectrum", "--k", "1,2", "--jobs", "2",
-               "--out-dir", str(par)] + FAST)
-    assert rc == 0
-    # the solves run concurrently on the --jobs threads; each k's
-    # eigenvalues must equal those of a serial single-k run exactly
-    for k in (1, 2):
-        ser = tmp_path / f"serial{k}"
-        assert main(["--mode", "spectrum", "--k", str(k),
-                     "--out-dir", str(ser)] + FAST) == 0
-        fanned = json.loads((par / f"k{k}" / "result.json").read_text())
-        serial = json.loads((ser / "result.json").read_text())
-        assert fanned["eigenvalues"] == serial["eigenvalues"]
+@pytest.mark.parametrize("mode", ["spectrum", "benchmark-disk",
+                                  "experiment:bound"])
+def test_result_records_config(tmp_path, mode):
+    assert main(["--mode", mode, "--out-dir", str(tmp_path)] + FAST) == 0
+    payload = json.loads((tmp_path / "result.json").read_text())
+    assert set(payload["config"]) == {
+        "mode", "k", "n_angles", "diameter", "max_iters", "tol", "seed",
+        "initial", "out_dir", "verbose"}
+    assert payload["config"]["mode"] == mode
+    assert payload["history"] == []
 
 
 def test_console_entry_point(tmp_path):

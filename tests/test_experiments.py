@@ -3,31 +3,15 @@
 import numpy as np
 import pytest
 
-from steklovmax import (PerturbationSpec, ball_volume, check_bound,
-                        derive_bound_constant, disk_perturbation_slope,
-                        multiplicity_report, perturbation_constant,
-                        wallis_integral)
+from steklovmax import (PerturbationSpec, check_bound, derive_bound_constant,
+                        disk_perturbation_slope, multiplicity_report)
 from steklovmax.experiments import perturbed_disk_boundary, slope_report
 from conftest import solve_boundary
 
 
-def test_wallis_recurrence():
-    assert np.isclose(wallis_integral(0), np.pi)
-    assert np.isclose(wallis_integral(1), 2.0)
-    assert np.isclose(wallis_integral(2), np.pi / 2)
-    assert np.isclose(wallis_integral(3), 4.0 / 3.0)
-    assert np.isclose(wallis_integral(4), 3.0 * np.pi / 8.0)
-
-
-def test_ball_volumes():
-    assert ball_volume(0) == 1.0
-    assert ball_volume(1) == 2.0
-    assert np.isclose(ball_volume(2), np.pi)
-    assert np.isclose(ball_volume(3), 4.0 * np.pi / 3.0)
-
-
 def test_perturbation_constant_d2():
-    assert np.isclose(perturbation_constant(2), 1.5)
+    # K(2) = 3/2: with a4 = 0 the slope is -2 (K - 1) a2
+    assert PerturbationSpec(1.0, 0.0, (0.01,)).predicted_slope() == -1.0
 
 
 def test_bound_constants():

@@ -1,4 +1,5 @@
-"""Lint: every import in the package and the tests is used.
+"""Lint: every import in the package and the tests is used, and the solve
+path does not import the reference mesher or finite elements.
 
 No linter ships with the project's dependencies, so this standard-library
 check stands in for one.  The package's __init__ imports only to
@@ -14,6 +15,10 @@ ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in [*(ROOT / "src" / "steklovmax").glob("*.py"),
                            *(ROOT / "tests").glob("*.py")]
                if p.name != "__init__.py")
+# modules of the optimizer, command line and experiments; meshing and fem
+# are the reference the mesh-free solver is tested against
+SOLVE_PATH = ("optimize", "trefftz", "gradients", "geometry", "constraints",
+              "graphs", "experiments", "cli")
 
 
 def unused_imports(source):
@@ -44,3 +49,32 @@ def test_checker_sees_attribute_roots():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(source):
+    """Names of the steklovmax modules that source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module)
+            else:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            mods = ([node.module] if isinstance(node, ast.ImportFrom)
+                    else [alias.name for alias in node.names])
+            names.update(m.split(".")[1] for m in mods
+                         if m and m.startswith("steklovmax."))
+    return names
+
+
+def test_package_imports_sees_relative_and_absolute():
+    src = ("from .meshing import triangulate\nfrom . import fem\n"
+           "import steklovmax.geometry\nfrom numpy import array\n")
+    assert package_imports(src) == {"meshing", "fem", "geometry"}
+
+
+@pytest.mark.parametrize("name", SOLVE_PATH)
+def test_solve_path_does_not_import_mesher(name):
+    path = ROOT / "src" / "steklovmax" / f"{name}.py"
+    assert not package_imports(path.read_text()) & {"meshing", "fem"}

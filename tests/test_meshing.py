@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
+import steklovmax.geometry as geometry
 import steklovmax.meshing as meshing
 from steklovmax import (AngleGrid, OptimOptions, SupportVector,
                         build_constraint_set, project, reconstruct_boundary,
                         triangulate)
 from steklovmax.errors import SelfIntersection
-from steklovmax.geometry import BoundaryPolyline
+from steklovmax.geometry import BoundaryPolyline, _segments_cross, check_simple
 from steklovmax.graphs import GraphPair
 from steklovmax.meshing import (MERGE_FRAC, _boundary_is_chain,
-                                _merge_close_vertices, _segments_cross,
-                                _subdivide_chain, _triangle_quality,
-                                check_simple, clearance_test,
+                                _merge_close_vertices, _subdivide_chain,
+                                _triangle_quality, clearance_test,
                                 points_in_polygon)
 from conftest import (convex_flat_start, disk_boundary, nonconvex_flat_start,
                       two_graph_boundary, wavy_boundary)
@@ -312,7 +312,7 @@ def test_cocircular_input_meshes(monkeypatch, name, b):
         assert len(added) >= 3
 
 
-# Loop versions of the array code in meshing, kept as oracles.
+# Loop versions of the array code in geometry and meshing, kept as oracles.
 def check_simple_oracle(b):
     """First crossing pair (i, j) found by the per-edge loop, or None."""
     v = b.vertices
@@ -420,12 +420,12 @@ def random_loops(rng, count):
 
 def test_check_simple_matches_oracle_on_random_loops(monkeypatch):
     exact = []
-    real = meshing._segments_cross
+    real = geometry._segments_cross
 
     def counting(*args):
         exact.append(1)
         return real(*args)
-    monkeypatch.setattr(meshing, "_segments_cross", counting)
+    monkeypatch.setattr(geometry, "_segments_cross", counting)
     pairs = [first_crossing(b)
              for b in random_loops(np.random.default_rng(11), 400)]
     oracle = [check_simple_oracle(b)
