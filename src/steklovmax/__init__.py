@@ -5,7 +5,22 @@ reconstruction -> mesh-free harmonic-polynomial Steklov eigensolver ->
 shape-derivative gradients -> projected gradient ascent.  The quality
 mesher and the P2 finite-element solver are the reference the solver is
 tested against.
+
+Importing the package before numpy sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless one of them is set: the
+solver's dense kernels are small, so extra BLAS threads cost more than they
+give and change the last digits of the ascent.  Once numpy is loaded its
+BLAS has read them, so the package leaves them alone.
 """
+
+import os
+import sys
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and \
+        not any(name in os.environ for name in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 from .constraints import LinearConstraintSet, build_constraint_set, project
 from .errors import (ClusteredEigenvalue, ConfigError, DegenerateBoundary,

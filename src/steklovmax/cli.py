@@ -15,6 +15,7 @@ from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .errors import ConfigError, SteklovMaxError
 from .experiments import (PerturbationSpec, bound_report, check_bound,
                           multiplicity_report, slope_report)
@@ -27,10 +28,9 @@ from .optimize import (OptimOptions, ascend, ascend_nonconvex, disk_graphs,
 MODES = ("optimize-convex", "optimize-nonconvex", "spectrum",
          "experiment:slope", "experiment:bound", "experiment:multiplicity",
          "benchmark-disk")
-# the BLAS thread count changes the ascent's rounding, so timing.json
-# records these as set (null when unset)
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS")
+# experiment:slope runs the unit-disk perturbation a2 = a4 = 1 at fixed
+# amplitudes, so it refuses the options it would otherwise ignore
+SLOPE_IGNORES = ("k", "diameter", "seed", "initial", "max_iters", "tol")
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,12 @@ def parse_config(argv):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    if values.get("mode") == "experiment:slope":
+        given = [key for key in SLOPE_IGNORES if key in values]
+        if given:
+            names = ", ".join("--" + key.replace("_", "-") for key in given)
+            raise ConfigError(f"experiment:slope does not use {names}: it "
+                              "runs the unit disk perturbation")
     if "out_dir" not in values:
         values["out_dir"] = os.environ.get("STEKLOV_OUT_DIR", ".")
     return RunConfig(**values)
@@ -344,6 +350,8 @@ def run(cfg: RunConfig):
     payload["config"] = asdict(cfg)
     payload.setdefault("history", [])
     _write_json(os.path.join(cfg.out_dir, "result.json"), payload)
+    # the BLAS thread count changes the ascent's rounding, so timing.json
+    # records the settings (null when unset)
     _write_json(os.path.join(cfg.out_dir, "timing.json"),
                 {"wall_time_seconds": time.time() - t0,
                  "blas_thread_env": {name: os.environ.get(name)

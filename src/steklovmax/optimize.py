@@ -277,8 +277,13 @@ def ascend(initial: SupportVector, opts: OptimOptions,
                                 opts.p_min_factor * opts.diameter,
                                 opts.convexity_floor_factor * opts.diameter)
 
+    last = None
+
     def projector(p):
-        return project(p, cset)
+        # warm start: the previous projection's active rows seed this one
+        nonlocal last
+        last = project(p, cset, last)
+        return last
 
     def gradient(p, ev):
         return support_gradient(ev.spectrum, opts.k, ev.boundary)

@@ -1,11 +1,14 @@
 """Shared fixtures: solved reference domains reused across test modules."""
 
+import os
+
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
-from steklovmax import (AngleGrid, OptimOptions, SupportVector, assemble,
-                        build_space, reconstruct_boundary, solve_spectrum,
-                        triangulate)
+from steklovmax import (AngleGrid, OptimOptions, ProjectionFailure,
+                        SupportVector, assemble, build_space,
+                        reconstruct_boundary, solve_spectrum, triangulate)
 from steklovmax.cli import _flat_graphs, _flat_support
 from steklovmax.geometry import BoundaryPolyline
 from steklovmax.graphs import GraphPair
@@ -17,6 +20,39 @@ def fem_spectrum(b, h, m):
     space = build_space(triangulate(b, h), 2)
     K, B = assemble(space)
     return solve_spectrum(space, K, B, m)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def with_src_path(env):
+    """env with this checkout's src/ first on PYTHONPATH, for a fresh
+    interpreter that imports the package."""
+    return {**env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))}
+
+
+def ldp_project(x, cset):
+    """Projection oracle: least-distance programming (Lawson-Hanson).
+
+    With the rows as G z <= h - G x for z = proj - x, one NNLS solve on the
+    augmented matrix [G^T; (h - G x)^T] yields the projection.
+    """
+    x = np.asarray(x, dtype=float)
+    g, hh = cset.coeffs, cset.bounds
+    slack = hh - g @ x
+    if np.all(slack >= -1e-10):
+        return x.copy()
+    n = x.size
+    e = np.vstack([-g.T, -slack[None, :]])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    u, _ = nnls(e, f, maxiter=10 * max(e.shape))
+    r = e @ u - f
+    if abs(r[n]) < 1e-14:
+        raise ProjectionFailure("LDP residual degenerate (empty polyhedron?)")
+    return x - r[:n] / r[n]
 
 
 def ellipse_boundary(n=100, a=1.0, b=0.6):

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import with_src_path
+from steklovmax import BLAS_THREAD_VARS
 from steklovmax.cli import (RunConfig, main, parse_config, read_config_file,
                             run)
 from steklovmax.errors import ConfigError
@@ -138,6 +140,49 @@ def test_timing_records_thread_settings(tmp_path, monkeypatch):
     assert env["OMP_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
     assert timing["cpu_count"] == os.cpu_count()
     assert timing["wall_time_seconds"] > 0
+
+
+@pytest.mark.parametrize("user,recorded", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2",
+                                     "OMP_NUM_THREADS": None,
+                                     "MKL_NUM_THREADS": None})],
+    ids=["unset", "user-set"])
+def test_command_defaults_to_one_blas_thread(tmp_path, user, recorded):
+    # a fresh process: the package sets the variables before numpy loads,
+    # unless the user set one of them
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    proc = subprocess.run(
+        [sys.executable, "-m", "steklovmax.cli", "--mode", "benchmark-disk",
+         "--out-dir", str(tmp_path)] + FAST,
+        capture_output=True, text=True, timeout=120,
+        env=with_src_path({**env, **user}))
+    assert proc.returncode == 0, proc.stderr
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    assert timing["blas_thread_env"] == recorded
+
+
+@pytest.mark.parametrize("option", [["--k", "2"], ["--diameter", "3"],
+                                    ["--seed", "1"], ["--initial", "flat"],
+                                    ["--max-iters", "5"], ["--tol", "1e-6"]],
+                         ids=lambda o: o[0])
+def test_slope_refuses_options_it_ignores(tmp_path, capsys, option):
+    # experiment:slope always runs the unit disk perturbation, so an option
+    # it would ignore (and record in result.json) is a configuration error
+    out = tmp_path / "out"
+    assert main(["--mode", "experiment:slope", "--out-dir", str(out)]
+                + FAST + option) == 3
+    assert option[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_slope_refuses_ignored_option_from_config(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("mode = experiment:slope\ndiameter = 3\n")
+    assert main(["--config", str(path), "--out-dir", str(tmp_path)]) == 3
+    assert "--diameter" in capsys.readouterr().err
+    assert parse_config(["--mode", "experiment:slope"] + FAST).n_angles == 100
 
 
 def test_benchmark_disk_run(tmp_path):

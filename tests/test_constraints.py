@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steklovmax import build_constraint_set, project
-from steklovmax.constraints import convexity_rows, diameter_rows
+from conftest import ldp_project
+from steklovmax import (OptimOptions, ProjectionFailure, ascend,
+                        build_constraint_set, project)
+from steklovmax import optimize
+from steklovmax.cli import _flat_support
+from steklovmax.constraints import (LinearConstraintSet, active_rows,
+                                    convexity_rows, diameter_rows)
 
 N = 50
 H = 2 * np.pi / N
@@ -73,7 +78,6 @@ def test_projection_feasible_and_closer(cset):
 
 def test_single_halfspace_projection_formula():
     # one violated row: projection is the closed-form halfspace projection
-    from steklovmax.constraints import LinearConstraintSet
     a = np.array([[1.0, 2.0]])
     cs = LinearConstraintSet(a, np.array([1.0]), np.array(["row"]))
     x = np.array([2.0, 3.0])
@@ -110,3 +114,88 @@ def test_projection_always_feasible(seed):
     x = np.ones(N) + 0.3 * np.random.default_rng(seed).normal(size=N)
     y = project(x, cs)
     assert np.all(cs.residuals(y) >= -1e-8)
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """Every project call of a short convex ascent (k=2, N=100, flat start,
+    4 iterations plus one restart): its constraint set and (x, start)."""
+    opts = OptimOptions(k=2, n_angles=100, max_iters=4, restarts=1, seed=1)
+    calls = []
+    real = optimize.project
+
+    def recording(x, cset, start=None):
+        calls.append((cset, np.array(x), None if start is None
+                      else np.array(start)))
+        return real(x, cset, start)
+
+    optimize.project = recording
+    try:
+        ascend(_flat_support(opts), opts)
+    finally:
+        optimize.project = real
+    cset = calls[0][0]
+    inputs = [(x, start) for _, x, start in calls]
+    # the noop calls return x itself; the rest run the active-set method
+    moved = [(x, start) for x, start in inputs if not cset.is_feasible(x)]
+    assert len(moved) >= 20
+    return cset, moved
+
+
+def rel_err(z, oracle):
+    return float(np.max(np.abs(z - oracle)) / np.max(np.abs(oracle)))
+
+
+def test_recorded_projections_match_oracle(recorded):
+    # warm and cold starts agree with the NNLS oracle; none raises
+    # ProjectionFailure, which would fail the test here
+    cset, inputs = recorded
+    for x, start in inputs:
+        oracle = ldp_project(x, cset)
+        assert rel_err(project(x, cset, start), oracle) <= 1e-10
+        assert rel_err(project(x, cset), oracle) <= 1e-10
+
+
+def test_same_active_set_gives_identical_bits(recorded):
+    cset, inputs = recorded
+    rows = cset.unit_rows
+    same = 0
+    for x, start in inputs:
+        if np.array_equal(active_rows(x, rows, start), active_rows(x, rows)):
+            same += 1
+            assert np.array_equal(project(x, cset, start), project(x, cset))
+    assert same >= len(inputs) // 2
+
+
+def test_width_row_0_and_anchor_both_active(cset):
+    # moving p_0 out and p_{N/2} in keeps the anchor pair's width at d but
+    # breaks convexity at both; the disk (start) has every width row and
+    # the anchor active.  The pair is one equality: width row 0 is in every
+    # active set, the anchor row in none.
+    half = N // 2
+    x = np.ones(N)
+    x[0] += 0.1
+    x[half] -= 0.1
+    oracle = ldp_project(x, cset)
+    anchor = np.flatnonzero(cset.tags == "anchor")[0]
+    width0 = np.flatnonzero(cset.tags == "width")[0]
+    assert list(cset.unit_rows.equalities) == [width0]
+    for start in (None, np.ones(N)):
+        active = active_rows(x, cset.unit_rows, start)
+        assert width0 in active and anchor not in active
+        out = project(x, cset, start)
+        assert rel_err(out, oracle) <= 1e-10
+        slack = cset.residuals(out)
+        assert abs(slack[anchor]) < 1e-12 and abs(slack[width0]) < 1e-12
+
+
+@pytest.mark.parametrize("coeffs,bounds", [
+    ([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0]),          # x_0 <= 0, x_0 >= 1
+    ([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
+     [2.0, -2.0, 0.0, 0.0]),             # x_0 + x_1 = 2, x_0 <= 0, x_1 <= 0
+], ids=["halfspaces", "equality"])
+def test_empty_polyhedron_raises(coeffs, bounds):
+    cs = LinearConstraintSet(np.array(coeffs), np.array(bounds),
+                             np.array(["row"] * len(bounds)))
+    with pytest.raises(ProjectionFailure):
+        project(np.array([0.5, 0.5]), cs)

@@ -1,5 +1,6 @@
-"""Lint: every import in the package and the tests is used, and the solve
-path does not import the reference mesher or finite elements.
+"""Lint: every import in the package and the tests is used, the solve
+path does not import the reference mesher or finite elements, and the
+package does not load scipy.optimize.
 
 No linter ships with the project's dependencies, so this standard-library
 check stands in for one.  The package's __init__ imports only to
@@ -7,9 +8,14 @@ re-export, so it is exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import with_src_path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in [*(ROOT / "src" / "steklovmax").glob("*.py"),
@@ -78,3 +84,20 @@ def test_package_imports_sees_relative_and_absolute():
 def test_solve_path_does_not_import_mesher(name):
     path = ROOT / "src" / "steklovmax" / f"{name}.py"
     assert not package_imports(path.read_text()) & {"meshing", "fem"}
+
+
+def test_package_does_not_load_scipy_optimize():
+    # a fresh interpreter: the import and a short convex ascent, whose
+    # trial steps run the projection
+    code = ("import sys\n"
+            "import steklovmax as sm\n"
+            "from steklovmax.cli import _flat_support\n"
+            "opts = sm.OptimOptions(k=2, n_angles=40, max_iters=3, "
+            "restarts=0)\n"
+            "sm.ascend(_flat_support(opts), opts)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=with_src_path(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
