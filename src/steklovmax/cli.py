@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,51 +28,40 @@ from .optimize import (OptimOptions, ascend, ascend_nonconvex, disk_graphs,
 MODES = ("optimize-convex", "optimize-nonconvex", "spectrum",
          "experiment:slope", "experiment:bound", "experiment:multiplicity",
          "benchmark-disk")
+# the OptimOptions fields a run leaves at their defaults: no flag, config
+# key or result.json entry names them
+UNSET = ("restarts", "mesh_h_factor")
 # experiment:slope runs the unit-disk perturbation a2 = a4 = 1 at fixed
 # amplitudes, so it refuses the options it would otherwise ignore
 SLOPE_IGNORES = ("k", "diameter", "seed", "initial", "max_iters", "tol")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of one CLI invocation.
-
-    opts, the run's OptimOptions, makes the numeric checks; it is not a
-    field, so result.json's config leaves it out.
-    """
+class RunConfig(OptimOptions):
+    """Validated inputs of one CLI invocation: the ascent's OptimOptions
+    plus the run mode, the start shape and the output directory."""
 
     mode: str = "optimize-convex"
-    k: int = 1
-    n_angles: int = 200
-    diameter: float = 2.0
-    max_iters: int = 500
-    tol: float = 1e-7
-    seed: int = 0
     initial: str = "disk"
     out_dir: str = "."
-    verbose: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode: {self.mode!r}")
-        # OptimOptions would name its own field, stop_tol
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
         ini = self.initial
         if ini not in ("disk", "flat") and not ini.startswith("file:"):
             raise ConfigError(f"initial must be disk, flat, or file:<path>, "
                               f"got {ini!r}")
         try:
-            opts = OptimOptions(k=self.k, n_angles=self.n_angles,
-                                diameter=self.diameter,
-                                max_iters=self.max_iters, stop_tol=self.tol,
-                                seed=self.seed, verbose=self.verbose)
+            super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        object.__setattr__(self, "opts", opts)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# the settable names: each is a flag, a config key and a key of
+# result.json's config record
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)
+                if f.name not in UNSET}
 
 
 def _coerce(key, raw):
@@ -116,19 +105,29 @@ def _build_argparser():
     ap = argparse.ArgumentParser(
         prog="steklovmax",
         description="Maximize Steklov eigenvalues of planar domains "
-                    "under a diameter constraint.")
+                    "under a diameter constraint.  Modes: "
+                    + ", ".join(MODES) + ".")
     ap.add_argument("--config", default=None, help="key = value config file")
-    ap.add_argument("--mode", choices=MODES)
-    ap.add_argument("--k", type=int, help="eigenvalue index")
-    ap.add_argument("--n-angles", type=int, dest="n_angles")
-    ap.add_argument("--diameter", type=float)
-    ap.add_argument("--max-iters", type=int, dest="max_iters")
-    ap.add_argument("--tol", type=float)
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--initial")
-    ap.add_argument("--out-dir", dest="out_dir")
-    ap.add_argument("--verbose", action="store_true", default=None)
+    for key, typ in _FIELD_TYPES.items():
+        flag = "--" + key.replace("_", "-")
+        if typ is bool:
+            ap.add_argument(flag, action="store_true", default=None)
+        else:
+            ap.add_argument(flag, type=typ)
     return ap
+
+
+def _ignored(values):
+    """The given options that the run's mode would not use, and why."""
+    mode = values.get("mode")
+    if mode == "experiment:slope":
+        unused, why = SLOPE_IGNORES, "it runs the unit disk perturbation"
+    elif mode == "experiment:multiplicity" and \
+            values.get("k", RunConfig.k) >= 2:
+        unused, why = ("initial",), "at k >= 2 it starts from a flat ellipse"
+    else:
+        return [], ""
+    return [key for key in unused if key in values], why
 
 
 def parse_config(argv):
@@ -144,12 +143,10 @@ def parse_config(argv):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if values.get("mode") == "experiment:slope":
-        given = [key for key in SLOPE_IGNORES if key in values]
-        if given:
-            names = ", ".join("--" + key.replace("_", "-") for key in given)
-            raise ConfigError(f"experiment:slope does not use {names}: it "
-                              "runs the unit disk perturbation")
+    given, why = _ignored(values)
+    if given:
+        names = ", ".join("--" + key.replace("_", "-") for key in given)
+        raise ConfigError(f"{values['mode']} does not use {names}: {why}")
     if "out_dir" not in values:
         values["out_dir"] = os.environ.get("STEKLOV_OUT_DIR", ".")
     return RunConfig(**values)
@@ -186,26 +183,24 @@ def _read_initial(cfg, parse):
 
 
 def _initial_support(cfg):
-    opts = cfg.opts
     if cfg.initial == "disk":
-        return disk_support(opts)
+        return disk_support(cfg)
     if cfg.initial == "flat":
-        return _flat_support(opts)
+        return _flat_support(cfg)
     return _read_initial(cfg, lambda path: SupportVector(
-        AngleGrid(opts.n_angles), np.loadtxt(path, delimiter=",", ndmin=1)))
+        AngleGrid(cfg.n_angles), np.loadtxt(path, delimiter=",", ndmin=1)))
 
 
 def _initial_graphs(cfg):
-    opts = cfg.opts
     if cfg.initial == "disk":
-        return disk_graphs(opts)
+        return disk_graphs(cfg)
     if cfg.initial == "flat":
-        return _flat_graphs(opts)
+        return _flat_graphs(cfg)
 
     def parse(path):
         p, q = np.loadtxt(path, delimiter=",", ndmin=2, usecols=(0, 1),
                           unpack=True)
-        return GraphPair(p, q, opts.diameter)
+        return GraphPair(p, q, cfg.diameter)
     return _read_initial(cfg, parse)
 
 
@@ -255,10 +250,10 @@ def _emit_spectrum(out, b: BoundaryPolyline, m):
 
 def _run_optimize(cfg):
     if cfg.mode == "optimize-convex":
-        state = ascend(_initial_support(cfg), cfg.opts)
+        state = ascend(_initial_support(cfg), cfg)
         variables = {"support": [float(x) for x in state.variables.p]}
     else:
-        state = ascend_nonconvex(_initial_graphs(cfg), cfg.opts)
+        state = ascend_nonconvex(_initial_graphs(cfg), cfg)
         variables = {"graphs": {"p": [float(x) for x in state.variables.p],
                                 "q": [float(x) for x in state.variables.q]}}
     _emit_shape(cfg.out_dir, state.boundary)
@@ -298,7 +293,7 @@ def _run_spectrum(cfg):
 
 
 def _run_benchmark_disk(cfg):
-    b = reconstruct_boundary(disk_support(cfg.opts))
+    b = reconstruct_boundary(disk_support(cfg))
     spec = _emit_spectrum(cfg.out_dir, b, 9)
     _emit_shape(cfg.out_dir, b)
     analytic = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4], dtype=float)
@@ -320,13 +315,13 @@ def _run_experiment(cfg):
         return slope_report(ps, n_angles=cfg.n_angles)
     if name == "bound":
         triples = []
-        for sv in (disk_support(cfg.opts), _flat_support(cfg.opts)):
+        for sv in (disk_support(cfg), _flat_support(cfg)):
             b = reconstruct_boundary(sv)
             triples.append((b, solve_boundary(b, cfg.k + 2), cfg.k))
         return bound_report(triples)
     initial = (_initial_support(cfg) if cfg.k == 1
-               else _flat_support(cfg.opts))
-    state = ascend(initial, cfg.opts)
+               else _flat_support(cfg))
+    state = ascend(initial, cfg)
     _emit_shape(cfg.out_dir, state.boundary)
     return {**multiplicity_report(state, cfg.k),
             "objective": _best_objective(state)}
@@ -347,7 +342,7 @@ def run(cfg: RunConfig):
         payload = _run_benchmark_disk(cfg)
     else:
         payload = _run_experiment(cfg)
-    payload["config"] = asdict(cfg)
+    payload["config"] = {key: getattr(cfg, key) for key in _FIELD_TYPES}
     payload.setdefault("history", [])
     _write_json(os.path.join(cfg.out_dir, "result.json"), payload)
     # the BLAS thread count changes the ascent's rounding, so timing.json

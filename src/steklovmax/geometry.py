@@ -66,6 +66,8 @@ class BoundaryPolyline:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValueError("vertices must be an (n, 2) array with n >= 3")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vertices contain non-finite values")
         object.__setattr__(self, "vertices", v)
         d = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
         scale = float(np.max(np.abs(v))) or 1.0

@@ -25,6 +25,8 @@ class GraphPair:
         q = np.asarray(self.q, dtype=float)
         if p.shape != q.shape or p.ndim != 1 or len(p) < 3:
             raise ValueError("p and q must be equal-length 1D arrays, len >= 3")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+            raise ValueError("p and q contain non-finite values")
         if np.any(p > q):
             raise ValueError("lower graph must not exceed upper graph")
         object.__setattr__(self, "p", p)

@@ -41,7 +41,7 @@ class OptimOptions:
     (BACKTRACK = 0.5) until the Armijo test (ARMIJO = 1e-4) passes, doubles
     it after each accepted step up to STEP_MAX = 16, and ends when no step
     above STEP_MIN = 1e-12 is accepted or the relative gain over the last
-    STOP_WINDOW = 10 accepted steps is below stop_tol.  Restarts perturb the
+    STOP_WINDOW = 10 accepted steps is below tol.  Restarts perturb the
     best point by noise of scale RESTART_SCALE = 0.02 times the diameter.
 
     mesh_h_factor and target_h are not used by the ascent, whose solver is
@@ -53,7 +53,7 @@ class OptimOptions:
     n_angles: int = 200
     diameter: float = 2.0
     max_iters: int = 500
-    stop_tol: float = 1e-7
+    tol: float = 1e-7
     mesh_h_factor: float = 0.05
     restarts: int = 3
     seed: int = 0
@@ -69,11 +69,11 @@ class OptimOptions:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.n_angles % 2 != 0 or self.n_angles < 8:
-            raise ValueError("n_angles must be even and >= 8")
-        for name in ("diameter", "max_iters", "stop_tol", "mesh_h_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        AngleGrid(self.n_angles)    # raises on a bad n_angles
+        for name in ("diameter", "max_iters", "tol", "mesh_h_factor"):
+            # written so that NaN fails too
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -155,7 +155,7 @@ def _stopped(history, opts):
     if len(history) <= STOP_WINDOW:
         return False
     ref = max(abs(history[-1]), 1e-30)
-    return (history[-1] - history[-1 - STOP_WINDOW]) / ref < opts.stop_tol
+    return (history[-1] - history[-1 - STOP_WINDOW]) / ref < opts.tol
 
 
 def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
@@ -221,6 +221,7 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
         step = min(step / BACKTRACK, STEP_MAX)
         if _stopped(history, opts):
             converged = True
+            # the option's former name; result.json records this text
             message = "objective change below stop_tol"
             break
     return best_x, best_ev, history, it, converged, message

@@ -2,13 +2,16 @@
 
 import os
 
+# the package comes first: it sets one BLAS thread (unless the user set a
+# count) only while numpy is not loaded, so the tests run as the command does
+from steklovmax import (AngleGrid, OptimOptions, ProjectionFailure,
+                        SupportVector, assemble, build_space,
+                        reconstruct_boundary, solve_spectrum, triangulate)
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from steklovmax import (AngleGrid, OptimOptions, ProjectionFailure,
-                        SupportVector, assemble, build_space,
-                        reconstruct_boundary, solve_spectrum, triangulate)
 from steklovmax.cli import _flat_graphs, _flat_support
 from steklovmax.geometry import BoundaryPolyline
 from steklovmax.graphs import GraphPair

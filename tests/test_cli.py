@@ -10,12 +10,15 @@ import pytest
 
 from conftest import with_src_path
 from steklovmax import BLAS_THREAD_VARS
-from steklovmax.cli import (RunConfig, main, parse_config, read_config_file,
-                            run)
+from steklovmax.cli import (RunConfig, _build_argparser, main, parse_config,
+                            read_config_file, run)
 from steklovmax.errors import ConfigError
 from steklovmax.geometry import BoundaryPolyline
 
 FAST = ["--n-angles", "100"]
+# the names a flag, a config key and result.json's config record all use
+SETTABLE = {"mode", "k", "n_angles", "diameter", "max_iters", "tol", "seed",
+            "initial", "out_dir", "verbose"}
 
 
 def test_defaults():
@@ -112,15 +115,45 @@ def test_bad_k_list_runs_nothing(tmp_path, ks):
     ["--initial=file:{tmp}/missing.csv", "--mode", "spectrum"],
     ["--initial=file:{tmp}/short.csv"],
     ["--initial=file:{tmp}/short.csv", "--mode", "optimize-nonconvex"],
+    ["--initial=file:{tmp}/nan.csv", "--mode", "spectrum"],
+    ["--initial=file:{tmp}/nan.csv", "--mode", "optimize-nonconvex"],
+    ["--diameter", "nan"],
+    ["--diameter", "inf"],
 ], ids=["max-iters-0", "negative-seed", "missing-support-file",
         "missing-graphs-file", "missing-shape-file", "short-support-file",
-        "one-column-graphs-file"])
+        "one-column-graphs-file", "nan-shape-file", "nan-graphs-file",
+        "nan-diameter", "inf-diameter"])
 def test_exit_code_bad_input(tmp_path, args):
     # short.csv holds 10 support values where --n-angles asks for 100, and
-    # one column where a graphs file needs two
+    # one column where a graphs file needs two; nan.csv, read as a
+    # boundary or as graphs p <= q, is valid but for one nan value
     np.savetxt(tmp_path / "short.csv", np.ones(10), delimiter=",")
+    np.savetxt(tmp_path / "nan.csv", [[-0.5, -0.4], [0.5, np.nan],
+                                      [-0.5, 0.4]], delimiter=",")
     argv = [a.format(tmp=tmp_path) for a in args]
     assert main(argv + ["--out-dir", str(tmp_path / "out")] + FAST) == 3
+
+
+def test_settable_names(tmp_path):
+    # the flags, the config keys and result.json's config record name the
+    # same settings; restarts and mesh_h_factor are none of them
+    flags = {a.dest for a in _build_argparser()._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    assert flags == SETTABLE
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{name} = {getattr(RunConfig(), name)}\n"
+                            for name in SETTABLE))
+    assert set(read_config_file(path)) == SETTABLE
+    out = tmp_path / "out"
+    assert main(["--mode", "benchmark-disk", "--out-dir", str(out)]
+                + FAST) == 0
+    assert set(json.loads((out / "result.json").read_text())["config"]) \
+        == SETTABLE
+    path.write_text("restarts = 0\n")
+    for args in (["--restarts", "0"], ["--mesh-h-factor", "1"],
+                 ["--config", str(path)]):
+        assert main(args + ["--out-dir", str(tmp_path / "unset")]) == 3
+    assert not (tmp_path / "unset").exists()
 
 
 def test_tol_zero_names_the_flag(capsys):
@@ -163,6 +196,12 @@ def test_command_defaults_to_one_blas_thread(tmp_path, user, recorded):
     assert timing["blas_thread_env"] == recorded
 
 
+def test_suite_runs_at_command_thread_count():
+    # conftest loads the package before numpy, so when the user sets no
+    # count the tests, like the command, run at one BLAS thread
+    assert any(name in os.environ for name in BLAS_THREAD_VARS)
+
+
 @pytest.mark.parametrize("option", [["--k", "2"], ["--diameter", "3"],
                                     ["--seed", "1"], ["--initial", "flat"],
                                     ["--max-iters", "5"], ["--tol", "1e-6"]],
@@ -183,6 +222,24 @@ def test_slope_refuses_ignored_option_from_config(tmp_path, capsys):
     assert main(["--config", str(path), "--out-dir", str(tmp_path)]) == 3
     assert "--diameter" in capsys.readouterr().err
     assert parse_config(["--mode", "experiment:slope"] + FAST).n_angles == 100
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_multiplicity_refuses_initial_above_k1(tmp_path, capsys, source):
+    # at k >= 2 experiment:multiplicity starts from the flat ellipse, so a
+    # given --initial would be ignored
+    initial = f"file:{tmp_path}/missing.csv"
+    if source == "flag":
+        args = ["--initial", initial]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"initial = {initial}\n")
+        args = ["--config", str(path)]
+    out = tmp_path / "out"
+    assert main(["--mode", "experiment:multiplicity", "--k", "2",
+                 "--out-dir", str(out)] + args) == 3
+    assert "--initial" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_benchmark_disk_run(tmp_path):
@@ -263,9 +320,7 @@ def test_experiment_bound_mode(tmp_path):
 def test_result_records_config(tmp_path, mode):
     assert main(["--mode", mode, "--out-dir", str(tmp_path)] + FAST) == 0
     payload = json.loads((tmp_path / "result.json").read_text())
-    assert set(payload["config"]) == {
-        "mode", "k", "n_angles", "diameter", "max_iters", "tol", "seed",
-        "initial", "out_dir", "verbose"}
+    assert set(payload["config"]) == SETTABLE
     assert payload["config"]["mode"] == mode
     assert payload["history"] == []
 

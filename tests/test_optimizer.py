@@ -96,8 +96,10 @@ def test_options_validation():
         OptimOptions(k=0)
     with pytest.raises(ValueError):
         OptimOptions(n_angles=31)
-    with pytest.raises(ValueError):
-        OptimOptions(diameter=-1.0)
+    for name in ("diameter", "tol"):
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                OptimOptions(**{name: bad})
     with pytest.raises(ValueError):
         OptimOptions(seed=-1)
 
