@@ -25,15 +25,27 @@ from .graphs import GraphPair
 from .optimize import (OptimOptions, ascend, ascend_nonconvex, disk_graphs,
                        disk_support, solve_boundary)
 
-MODES = ("optimize-convex", "optimize-nonconvex", "spectrum",
-         "experiment:slope", "experiment:bound", "experiment:multiplicity",
-         "benchmark-disk")
 # the OptimOptions fields a run leaves at their defaults: no flag, config
 # key or result.json entry names them
 UNSET = ("restarts", "mesh_h_factor")
-# experiment:slope runs the unit-disk perturbation a2 = a4 = 1 at fixed
-# amplitudes, so it refuses the options it would otherwise ignore
-SLOPE_IGNORES = ("k", "diameter", "seed", "initial", "max_iters", "tol")
+# the options each mode reads besides mode and out_dir; a run refuses any
+# other option, which it would ignore yet record in result.json.  A mode
+# reads an option if any of its paths does (spectrum reads n_angles and
+# diameter, which a file: start leaves unused), and
+# experiment:multiplicity reads initial only at k = 1: at k >= 2 it starts
+# from the flat ellipse.
+_EVERY = ("k", "n_angles", "diameter", "max_iters", "tol", "seed",
+          "verbose", "initial")
+READS = {
+    "optimize-convex": _EVERY,
+    "optimize-nonconvex": _EVERY,
+    "spectrum": ("k", "n_angles", "diameter", "initial"),
+    "experiment:slope": ("n_angles",),
+    "experiment:bound": ("k", "n_angles", "diameter"),
+    "experiment:multiplicity": _EVERY,
+    "benchmark-disk": ("n_angles", "diameter"),
+}
+MODES = tuple(READS)
 
 
 @dataclass(frozen=True)
@@ -118,16 +130,13 @@ def _build_argparser():
 
 
 def _ignored(values):
-    """The given options that the run's mode would not use, and why."""
-    mode = values.get("mode")
-    if mode == "experiment:slope":
-        unused, why = SLOPE_IGNORES, "it runs the unit disk perturbation"
-    elif mode == "experiment:multiplicity" and \
+    """The given options that the run's mode does not read."""
+    mode = values.get("mode", RunConfig.mode)
+    reads = READS.get(mode, _EVERY)
+    if mode == "experiment:multiplicity" and \
             values.get("k", RunConfig.k) >= 2:
-        unused, why = ("initial",), "at k >= 2 it starts from a flat ellipse"
-    else:
-        return [], ""
-    return [key for key in unused if key in values], why
+        reads = tuple(key for key in reads if key != "initial")
+    return [key for key in values if key in _EVERY and key not in reads]
 
 
 def parse_config(argv):
@@ -143,10 +152,10 @@ def parse_config(argv):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    given, why = _ignored(values)
+    given = _ignored(values)
     if given:
         names = ", ".join("--" + key.replace("_", "-") for key in given)
-        raise ConfigError(f"{values['mode']} does not use {names}: {why}")
+        raise ConfigError(f"{values['mode']} does not read {names}")
     if "out_dir" not in values:
         values["out_dir"] = os.environ.get("STEKLOV_OUT_DIR", ".")
     return RunConfig(**values)

@@ -1,20 +1,19 @@
 """Triangle meshing of simple closed polylines.
 
 Pipeline: subdivide the boundary to the target edge length, seed the
-interior with a staggered hex grid, triangulate the seeds once and run
-Laplacian smoothing passes over that fixed neighbour graph, then run a
+interior with a staggered hex grid kept clear of the boundary, then run a
 Ruppert-style refinement loop (circumcenter insertion with
 diametral-circle segment splitting) until the quality targets hold.  The
-loop triangulates the smoothed points once; each later round inserts only
-its new points into that triangulation (Bowyer-Watson insertion).
-Delaunay connectivity comes from scipy (Qhull); constraint recovery and
-refinement are done here.
+loop builds one triangulation, of the boundary chain and the seeds; each
+later round inserts only its new points into it (Bowyer-Watson
+insertion).  Delaunay connectivity comes from scipy (Qhull); constraint
+recovery and refinement are done here.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import DegenerateBoundary, MeshFailure
 from .geometry import BoundaryPolyline, check_simple
@@ -193,7 +192,7 @@ def _merge_close_vertices(verts, tol):
             vmap[i] = len(keep) - 1
     # wrap-around: last run may merge into vertex 0
     while len(keep) > 3 and np.linalg.norm(verts[keep[-1]] - verts[0]) <= tol:
-        last = keep.pop()
+        keep.pop()
         vmap[vmap == len(keep)] = 0
     if len(keep) < 3:
         raise DegenerateBoundary("boundary collapses under merge tolerance")
@@ -321,7 +320,6 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
     poly, vmap0 = _merge_close_vertices(b.vertices, merge_tol)
 
     bnd, owner = _subdivide_chain(poly, target_h)
-    nb0 = len(poly)
     spacing = 0.68 * target_h
     interior = _hex_seeds(poly, spacing, clearance_test(poly, 0.6 * spacing))
 
@@ -349,36 +347,11 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
         keep[flip] = keep[flip][:, [0, 2, 1]]
         return keep
 
-    # smoothing phase: Laplacian smoothing over the neighbour graph of one
-    # triangulation of the seeds; each pass moves an interior point to the
-    # mean of its neighbours (counted once per triangle sharing the edge)
-    # unless that leaves the polygon or comes within 0.5 * spacing of its
-    # boundary
-    if len(interior):
-        pts = np.vstack([bnd, interior])
-        keep = delaunay_inside(pts, Delaunay(pts).simplices)
-        nb = len(bnd)
-        # the six directed edges (src -> dst) of every triangle
-        src = keep[:, [0, 0, 1, 1, 2, 2]].ravel()
-        dst = keep[:, [1, 2, 0, 2, 0, 1]].ravel()
-        cnts = np.bincount(src, minlength=nb + len(interior))[nb:]
-        movable = cnts > 0
-        clear = clearance_test(poly, 0.5 * spacing)
-        for _ in range(8):
-            pts = np.vstack([bnd, interior])
-            mean = np.column_stack([
-                np.bincount(src, weights=pts[dst, c], minlength=len(pts))[nb:]
-                for c in (0, 1)])
-            new = interior.copy()
-            new[movable] = mean[movable] / cnts[movable, None]
-            ok = points_in_polygon(new, poly) & clear(new)
-            interior[ok] = new[ok]
-
-    # refinement: smoothing moved every interior point, so the first round
-    # triangulates afresh, into an incremental triangulation that later
-    # rounds insert only their new points into.  It numbers points in
-    # insertion order: qb and qi hold that number for each chain node and
-    # interior point, -1 until inserted.
+    # refinement: the first round triangulates the chain and the seeds
+    # into an incremental triangulation that later rounds insert only
+    # their new points into.  It numbers points in insertion order: qb and
+    # qi hold that number for each chain node and interior point, -1 until
+    # inserted.
     tri = _IncrementalDelaunay(np.vstack([bnd, interior]))
     qb = np.arange(len(bnd))
     qi = len(bnd) + np.arange(len(interior))
@@ -467,9 +440,9 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
     # boundary nodes 0..nb-1 are in chain order
     loop = np.arange(len(bnd))
 
-    vmap = vmap0  # polyline vertex -> merged vertex index == chain position
-    # chain positions of merged polyline vertices: nodes with owner == -1
+    # chain positions of merged polyline vertices: nodes with owner == -1;
+    # vmap0 maps each polyline vertex to its merged vertex
     orig_pos = np.nonzero(owner == -1)[0]
-    bvm = orig_pos[vmap]
+    bvm = orig_pos[vmap0]
     return TriangleMesh(vertices=pts, triangles=keep, boundary_loop=loop,
                         boundary_vertex_map=bvm, target_h=target_h)

@@ -313,8 +313,8 @@ def _samples(edge, lam, w, u, un, ut, nodes, tau, corners, coef, sigma,
     wu = w[:, None] * u
     K = np.empty((4, len(at), nm))
     L = np.empty((4, len(at), nm))
-    for cols, zw, logw, wg, wn, f, df in _corner_blocks(nodes, zc, gamma, n,
-                                                         rho):
+    for cols, _, logw, wg, wn, f, df in _corner_blocks(nodes, zc, gamma, n,
+                                                        rho):
         g = gamma[cols]
         ut += (df * (rho[cols] * tau[:, None])).imag @ coef[cols]
         ddz = -df * rho[cols]                           # d f / d z_c

@@ -41,6 +41,12 @@ def ldp_project(x, cset):
 
     With the rows as G z <= h - G x for z = proj - x, one NNLS solve on the
     augmented matrix [G^T; (h - G x)^T] yields the projection.
+
+    Accuracy: on the recorded ascent inputs it matches the active-set
+    constraints.project to 2e-13 relative.  Far from feasibility it is
+    much less accurate: on support vectors perturbed by about 0.5 times
+    the diameter it left rows violated by up to 1.3e-5, so comparisons
+    against it at 1e-10 hold only near feasibility.
     """
     x = np.asarray(x, dtype=float)
     g, hh = cset.coeffs, cset.bounds

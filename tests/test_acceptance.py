@@ -258,10 +258,11 @@ def test_criterion_9_property_suites(tmp_path):
             mismatches += 1
     ok &= mismatches == 0
     details.append(f"diameter mismatches {mismatches}/100")
-    # determinism of result.json under a fixed seed
+    # determinism of result.json under a fixed seed, on a short convex
+    # ascent whose restarts the seed drives
     out = tmp_path / "det"
-    args = ["--mode", "spectrum", "--seed", "11", "--n-angles", "100",
-            "--out-dir", str(out)]
+    args = ["--mode", "optimize-convex", "--n-angles", "60", "--max-iters",
+            "5", "--seed", "11", "--out-dir", str(out)]
     assert main(args) == 0
     first = (out / "result.json").read_bytes()
     assert main(args) == 0

@@ -30,9 +30,9 @@ def test_defaults():
 
 
 def test_flag_parsing():
-    cfg = parse_config(["--mode", "spectrum", "--k", "2", "--n-angles",
-                        "100", "--diameter", "2", "--seed", "3"])
-    assert cfg.mode == "spectrum"
+    cfg = parse_config(["--mode", "optimize-nonconvex", "--k", "2",
+                        "--n-angles", "100", "--diameter", "2", "--seed", "3"])
+    assert cfg.mode == "optimize-nonconvex"
     assert cfg.k == 2
     assert cfg.n_angles == 100
     assert cfg.seed == 3
@@ -55,12 +55,14 @@ def test_bad_initial_rejected():
 
 def test_config_file(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\nmode = spectrum\nn-angles = 100  # inline\n"
-                    "seed = 9\nk = 2\n")
+    path.write_text("# comment\nmode = optimize-nonconvex\n"
+                    "n-angles = 100  # inline\nseed = 9\nk = 2\n")
     vals = read_config_file(path)
-    assert vals == {"mode": "spectrum", "n_angles": 100, "seed": 9, "k": 2}
+    assert vals == {"mode": "optimize-nonconvex", "n_angles": 100, "seed": 9,
+                    "k": 2}
     cfg = parse_config(["--config", str(path)])
-    assert cfg.mode == "spectrum" and cfg.n_angles == 100 and cfg.seed == 9
+    assert cfg.mode == "optimize-nonconvex" and cfg.n_angles == 100
+    assert cfg.seed == 9
     assert cfg.k == 2
 
 
@@ -204,7 +206,8 @@ def test_suite_runs_at_command_thread_count():
 
 @pytest.mark.parametrize("option", [["--k", "2"], ["--diameter", "3"],
                                     ["--seed", "1"], ["--initial", "flat"],
-                                    ["--max-iters", "5"], ["--tol", "1e-6"]],
+                                    ["--max-iters", "5"], ["--tol", "1e-6"],
+                                    ["--verbose"]],
                          ids=lambda o: o[0])
 def test_slope_refuses_options_it_ignores(tmp_path, capsys, option):
     # experiment:slope always runs the unit disk perturbation, so an option
@@ -222,6 +225,46 @@ def test_slope_refuses_ignored_option_from_config(tmp_path, capsys):
     assert main(["--config", str(path), "--out-dir", str(tmp_path)]) == 3
     assert "--diameter" in capsys.readouterr().err
     assert parse_config(["--mode", "experiment:slope"] + FAST).n_angles == 100
+
+
+# the options a mode does not read: each is a configuration error, since
+# the run would ignore it and still record it in result.json.  The
+# optimize modes read every option; experiment:slope and
+# experiment:multiplicity have their own tests.
+UNREAD = {
+    "spectrum": ("max_iters", "tol", "seed", "verbose"),
+    "benchmark-disk": ("k", "max_iters", "tol", "seed", "verbose", "initial"),
+    "experiment:bound": ("max_iters", "tol", "seed", "verbose", "initial"),
+}
+OPTION_VALUES = {"k": "2", "diameter": "3", "max_iters": "5", "tol": "1e-6",
+                 "seed": "1", "verbose": "true", "initial": "flat"}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("mode,key", [(m, k) for m, keys in UNREAD.items()
+                                      for k in keys])
+def test_mode_refuses_options_it_does_not_read(tmp_path, capsys, mode, key,
+                                               source):
+    flag = "--" + key.replace("_", "-")
+    if source == "flag":
+        args = [flag] if key == "verbose" else [flag, OPTION_VALUES[key]]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {OPTION_VALUES[key]}\n")
+        args = ["--config", str(path)]
+    out = tmp_path / "out"
+    assert main(["--mode", mode, "--out-dir", str(out)] + FAST + args) == 3
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", UNREAD)
+def test_mode_accepts_options_it_reads(mode):
+    args = []
+    for key, value in OPTION_VALUES.items():
+        if key not in UNREAD[mode]:
+            args += ["--" + key.replace("_", "-"), value]
+    assert parse_config(["--mode", mode] + FAST + args).mode == mode
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -281,8 +324,10 @@ def test_spectrum_flat_start_is_flat(tmp_path):
 
 
 def test_determinism_bit_identical(tmp_path):
+    # a short convex ascent, whose restarts the seed drives
     out = tmp_path / "det"
-    args = ["--mode", "spectrum", "--seed", "11", "--out-dir", str(out)] + FAST
+    args = ["--mode", "optimize-convex", "--n-angles", "60", "--max-iters",
+            "5", "--seed", "11", "--out-dir", str(out)]
     assert main(args) == 0
     first = (out / "result.json").read_bytes()
     assert main(args) == 0

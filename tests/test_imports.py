@@ -1,6 +1,7 @@
-"""Lint: every import in the package and the tests is used, the solve
-path does not import the reference mesher or finite elements, and the
-package does not load scipy.optimize.
+"""Lint: every import in the package and the tests is used, every local
+name the package assigns is read, the solve path does not import the
+reference mesher or finite elements, and the package does not load
+scipy.optimize.
 
 No linter ships with the project's dependencies, so this standard-library
 check stands in for one.  The package's __init__ imports only to
@@ -18,8 +19,8 @@ import pytest
 from conftest import with_src_path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for p in [*(ROOT / "src" / "steklovmax").glob("*.py"),
-                           *(ROOT / "tests").glob("*.py")]
+PACKAGE = sorted((ROOT / "src" / "steklovmax").glob("*.py"))
+FILES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                if p.name != "__init__.py")
 # modules of the optimizer, command line and experiments; meshing and fem
 # are the reference the mesh-free solver is tested against
@@ -55,6 +56,51 @@ def test_checker_sees_attribute_roots():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_locals(source):
+    """(line, name) of each name a function assigns that nothing in the
+    function, its nested functions included, reads.  Names starting with
+    _ are exempt, and so are names declared global or nonlocal; an
+    augmented assignment reads its target."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.AugAssign) and \
+                    isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+        found.update((line, name) for name, line in stored.items()
+                     if name not in read and not name.startswith("_"))
+    return sorted(found)
+
+
+def test_checker_finds_unread_locals():
+    src = ("def f(xs):\n"
+           "    a, _b = xs\n"
+           "    for i, x in enumerate(xs):\n"
+           "        n = 0\n"
+           "        n += x\n"
+           "    c = 1\n"
+           "    def g():\n"
+           "        return c\n"
+           "    return g\n")
+    assert unread_locals(src) == [(2, "a"), (3, "i")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    assert unread_locals(path.read_text()) == []
 
 
 def package_imports(source):

@@ -33,6 +33,7 @@ CASES = [
     ("wavy", wavy_boundary(), 0.1),
     ("square", BoundaryPolyline(np.array([[0, 0], [2, 0], [2, 2], [0, 2]],
                                          float)), 0.15),
+    ("two-graph", two_graph_boundary(), 0.05),
 ]
 
 
@@ -215,11 +216,10 @@ def count_triangulations(monkeypatch):
     Delaunay, "incremental" for each incremental one, and the number of
     points of each later insertion into it."""
     built, added = [], []
-    delaunay = meshing.Delaunay
 
     def fresh(*args, **kwargs):
         built.append("fresh")
-        return delaunay(*args, **kwargs)
+        return Delaunay(*args, **kwargs)
 
     class Incremental(meshing._IncrementalDelaunay):
         def __init__(self, pts):
@@ -229,25 +229,26 @@ def count_triangulations(monkeypatch):
         def add_points(self, pts):
             added.append(len(pts))
             super().add_points(pts)
-    monkeypatch.setattr(meshing, "Delaunay", fresh)
+    monkeypatch.setattr("scipy.spatial.Delaunay", fresh)
     monkeypatch.setattr(meshing, "_IncrementalDelaunay", Incremental)
     return built, added
 
 
 def test_delaunay_calls_per_mesh(monkeypatch):
-    # one triangulation for all smoothing passes and one for the
-    # refinement, which later rounds insert their points into: 2 however
-    # many rounds run (11 when every pass re-triangulated; 4 on the flat
-    # starts and 6-11 on pool-size meshes when every round did)
+    # nothing moves the hex seeds before refinement, so a mesh builds one
+    # triangulation, of the boundary chain and the seeds, and later rounds
+    # insert their points into it however many rounds run (the pool-like
+    # mesh inserts points at least four times)
     built, added = count_triangulations(monkeypatch)
+    assert not hasattr(meshing, "Delaunay")
     for b in (convex_flat_start(), nonconvex_flat_start()):
         del built[:]
         mesh = triangulate(b, 0.1)
-        assert built == ["fresh", "incremental"]
+        assert built == ["incremental"]
         assert mesh.min_angle_deg() >= 20.0 - 1e-9
     del built[:], added[:]
     mesh = triangulate(pool_like_boundary(), 0.035)
-    assert built == ["fresh", "incremental"]
+    assert built == ["incremental"]
     assert len(added) >= 4
     assert mesh.min_angle_deg() >= 20.0 - 1e-9
 
