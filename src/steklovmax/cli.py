@@ -144,7 +144,10 @@ def parse_config(argv):
     try:
         args = _build_argparser().parse_args(argv)
     except SystemExit as exc:
-        raise ConfigError("bad command line") from exc
+        # argparse exits 0 after printing --help, which is no error
+        if exc.code:
+            raise ConfigError("bad command line") from exc
+        raise
     values = {}
     if args.config:
         values.update(read_config_file(args.config))
@@ -257,12 +260,29 @@ def _emit_spectrum(out, b: BoundaryPolyline, m):
     return spec
 
 
-def _run_optimize(cfg):
+def _start(cfg):
+    """The run's start shape, None for a mode that takes none.  run reads
+    it before it makes the output directory, so that a bad file: start
+    leaves nothing behind."""
     if cfg.mode == "optimize-convex":
-        state = ascend(_initial_support(cfg), cfg)
+        return _initial_support(cfg)
+    if cfg.mode == "optimize-nonconvex":
+        return _initial_graphs(cfg)
+    if cfg.mode == "spectrum":
+        if cfg.initial.startswith("file:"):
+            return _read_initial(cfg, BoundaryPolyline.from_csv)
+        return reconstruct_boundary(_initial_support(cfg))
+    if cfg.mode == "experiment:multiplicity":
+        return _initial_support(cfg) if cfg.k == 1 else _flat_support(cfg)
+    return None
+
+
+def _run_optimize(cfg, start):
+    if cfg.mode == "optimize-convex":
+        state = ascend(start, cfg)
         variables = {"support": [float(x) for x in state.variables.p]}
     else:
-        state = ascend_nonconvex(_initial_graphs(cfg), cfg)
+        state = ascend_nonconvex(start, cfg)
         variables = {"graphs": {"p": [float(x) for x in state.variables.p],
                                 "q": [float(x) for x in state.variables.q]}}
     _emit_shape(cfg.out_dir, state.boundary)
@@ -285,11 +305,7 @@ def _run_optimize(cfg):
     }
 
 
-def _run_spectrum(cfg):
-    if cfg.initial.startswith("file:"):
-        b = _read_initial(cfg, BoundaryPolyline.from_csv)
-    else:
-        b = reconstruct_boundary(_initial_support(cfg))
+def _run_spectrum(cfg, b):
     spec = _emit_spectrum(cfg.out_dir, b, max(cfg.k + 3, 9))
     _emit_shape(cfg.out_dir, b)
     rep = compute_diameter(b)
@@ -317,7 +333,7 @@ def _run_benchmark_disk(cfg):
     }
 
 
-def _run_experiment(cfg):
+def _run_experiment(cfg, start):
     name = cfg.mode.split(":", 1)[1]
     if name == "slope":
         ps = PerturbationSpec(1.0, 1.0, (0.005, 0.01, 0.02))
@@ -328,9 +344,7 @@ def _run_experiment(cfg):
             b = reconstruct_boundary(sv)
             triples.append((b, solve_boundary(b, cfg.k + 2), cfg.k))
         return bound_report(triples)
-    initial = (_initial_support(cfg) if cfg.k == 1
-               else _flat_support(cfg))
-    state = ascend(initial, cfg)
+    state = ascend(start, cfg)
     _emit_shape(cfg.out_dir, state.boundary)
     return {**multiplicity_report(state, cfg.k),
             "objective": _best_objective(state)}
@@ -341,16 +355,17 @@ def run(cfg: RunConfig):
     result.json (the wall time goes to timing.json).  Every payload
     records the run's config and its objective history (empty when the
     mode runs no ascent)."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     t0 = time.time()
+    start = _start(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.mode in ("optimize-convex", "optimize-nonconvex"):
-        payload = _run_optimize(cfg)
+        payload = _run_optimize(cfg, start)
     elif cfg.mode == "spectrum":
-        payload = _run_spectrum(cfg)
+        payload = _run_spectrum(cfg, start)
     elif cfg.mode == "benchmark-disk":
         payload = _run_benchmark_disk(cfg)
     else:
-        payload = _run_experiment(cfg)
+        payload = _run_experiment(cfg, start)
     payload["config"] = {key: getattr(cfg, key) for key in _FIELD_TYPES}
     payload.setdefault("history", [])
     _write_json(os.path.join(cfg.out_dir, "result.json"), payload)

@@ -6,7 +6,10 @@ Ruppert-style refinement loop (circumcenter insertion with
 diametral-circle segment splitting) until the quality targets hold.  The
 loop builds one triangulation, of the boundary chain and the seeds; each
 later round inserts only its new points into it (Bowyer-Watson
-insertion).  Delaunay connectivity comes from scipy (Qhull); constraint
+insertion).  The loop keeps its points in one array in insertion order,
+the triangulation's own numbering, with the boundary chain as indices
+into it; the finished mesh is renumbered once, boundary nodes first in
+chain order.  Delaunay connectivity comes from scipy (Qhull); constraint
 recovery and refinement are done here.
 """
 
@@ -257,10 +260,6 @@ class _IncrementalDelaunay:
         self.hull = ConvexHull(np.vstack([top, lifted]), incremental=True,
                                qhull_options="Qc Q12")
 
-    @property
-    def npoints(self):
-        return self.hull.npoints - 1
-
     def add_points(self, pts):
         self.hull.add_points(_lift(pts))
 
@@ -278,32 +277,14 @@ def _lift(pts):
     return np.column_stack((pts, np.sum(pts * pts, axis=1)))
 
 
-def _split_segments(bnd, owner, split):
-    """Boundary chain with a midpoint node inserted on every segment
-    (i, i+1) with split[i]; returns (nodes, owner) as _subdivide_chain,
-    and the np.insert positions of the midpoints."""
-    # polyline edge containing each chain segment (i, i+1): the edge of
-    # node i when i is a subdivision node, else the edge leaving the
-    # original vertex at position i
-    edge_of = np.where(owner >= 0, owner, np.cumsum(owner == -1) - 1)
-    s = np.nonzero(split)[0]
-    mids = 0.5 * (bnd[s] + bnd[(s + 1) % len(bnd)])
-    return (np.insert(bnd, s + 1, mids, axis=0),
-            np.insert(owner, s + 1, edge_of[s]), s + 1)
-
-
-def _chain_keys(nb, n):
-    """edge_keys of the closed chain of nodes 0, 1, ..., nb-1."""
-    i = np.arange(nb)
-    return edge_keys(i, np.roll(i, -1), n)
-
-
 def _boundary_is_chain(tris, nb, n):
     """True iff the edges used by exactly one triangle are exactly the
     edges (i, i+1 mod nb) of the boundary chain; n bounds the indices."""
     edges, uses = np.unique(edge_keys(tris, np.roll(tris, -1, axis=1), n),
                             return_counts=True)
-    return np.array_equal(edges[uses == 1], np.sort(_chain_keys(nb, n)))
+    i = np.arange(nb)
+    return np.array_equal(edges[uses == 1],
+                          np.sort(edge_keys(i, np.roll(i, -1), n)))
 
 
 def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
@@ -330,119 +311,109 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
     def delaunay_inside(pts, simp):
         """The Delaunay triangles simp of pts inside the polygon, less
         slivers, in ccw orientation."""
-        # drop degenerate slivers (collinear triples on flat boundary runs)
         e1 = pts[simp[:, 1]] - pts[simp[:, 0]]
         e2 = pts[simp[:, 2]] - pts[simp[:, 0]]
         cr = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         sq = np.maximum(np.sum(e1**2, axis=1), np.sum(e2**2, axis=1))
-        simp = simp[np.abs(cr) > 1e-12 * sq]
-        cent = pts[simp].mean(axis=1)
-        keep = simp[points_in_polygon(cent, poly)]
+        # drop degenerate slivers (collinear triples on flat boundary runs)
+        ok = np.abs(cr) > 1e-12 * sq
+        ok[ok] = points_in_polygon(pts[simp[ok]].mean(axis=1), poly)
         # enforce ccw orientation
-        v0 = pts[keep[:, 0]]
-        e1 = pts[keep[:, 1]] - v0
-        e2 = pts[keep[:, 2]] - v0
-        cr = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        flip = cr < 0
+        keep, flip = simp[ok], cr[ok] < 0
         keep[flip] = keep[flip][:, [0, 2, 1]]
         return keep
 
-    # refinement: the first round triangulates the chain and the seeds
-    # into an incremental triangulation that later rounds insert only
-    # their new points into.  It numbers points in insertion order: qb and
-    # qi hold that number for each chain node and interior point, -1 until
-    # inserted.
-    tri = _IncrementalDelaunay(np.vstack([bnd, interior]))
-    qb = np.arange(len(bnd))
-    qi = len(bnd) + np.arange(len(interior))
+    # refinement on one point array, pts, in insertion order, which is the
+    # incremental triangulation's own numbering: the first round
+    # triangulates the chain and the seeds, and each round appends its new
+    # points to pts and inserts them.  chain holds the pts index of each
+    # boundary node in chain order; owner stays per chain position.
+    pts = np.vstack([bnd, interior])
+    chain = np.arange(len(bnd))
+    tri = _IncrementalDelaunay(pts)
     try:
         for _ in range(60):
-            if len(bnd) + len(interior) > VERTEX_BUDGET:
+            if len(pts) > VERTEX_BUDGET:
                 raise MeshFailure("vertex budget exceeded")
-            pts = np.vstack([bnd, interior])
-            nb = len(bnd)
-            q = np.concatenate([qb, qi])
-            new = q < 0
-            if new.any():
-                q[new] = tri.npoints + np.arange(np.count_nonzero(new))
-                tri.add_points(pts[new])
-                qb, qi = q[:nb], q[nb:]
-            node = np.empty_like(q)
-            node[q] = np.arange(len(q))
-            simp = node[tri.simplices()]
-            keep = delaunay_inside(pts, simp)
+            keep = delaunay_inside(pts, tri.simplices())
+            bnd, nxt = pts[chain], pts[np.roll(chain, -1)]
+            mids = 0.5 * (bnd + nxt)
 
             # boundary recovery: every chain segment must appear as a kept
-            # edge
-            missing = ~np.isin(_chain_keys(nb, len(pts)),
-                               edge_keys(keep, np.roll(keep, -1, axis=1),
-                                         len(pts)))
-            if missing.any():
-                bnd, owner, at = _split_segments(bnd, owner, missing)
-                qb = np.insert(qb, at, -1)
-                continue
-
-            # quality pass
-            angles, emax, emin = _triangle_quality(pts, keep)
-            bad = (angles < min_angle) | (emax > target_h)
-            # skip triangles whose smallest feature is already at merge
-            # scale
-            bad &= emin > min_split
-            if not bad.any():
-                break
-
-            idx = np.argsort(angles)
-            idx = idx[bad[idx]][:64]
-            centers = _circumcenters(pts, keep[idx])
-            radii = np.linalg.norm(centers - pts[keep[idx, 0]], axis=1)
-
-            # circumcenter insertion with diametral-circle encroachment: a
-            # center inside a chain segment's diametral circle splits that
-            # segment instead (standard Ruppert rule); the Delaunay
-            # empty-circle property keeps inserted centers away from
-            # existing points, so the only spacing filter needed is among
-            # this batch of candidates, relative to each candidate's own
-            # circumradius (grading-aware)
-            mids = 0.5 * (bnd + np.roll(bnd, -1, axis=0))
-            rads = 0.5 * np.linalg.norm(np.roll(bnd, -1, axis=0) - bnd, axis=1)
-            seg_ok = 2.0 * rads > min_split
-            enc = ((np.linalg.norm(mids - centers[:, None], axis=2) < rads)
-                   & seg_ok)
-            free = points_in_polygon(centers, poly) & ~enc.any(axis=1)
-            tree = cKDTree(pts)
-            free[free] = tree.query(centers[free])[0] > 0.25 * radii[free]
-            split = np.zeros(nb, dtype=bool)
+            # edge; the missing ones are split before any quality round
+            split = ~np.isin(edge_keys(chain, np.roll(chain, -1), len(pts)),
+                             edge_keys(keep, np.roll(keep, -1, axis=1),
+                                       len(pts)))
             accepted = []
-            for c, r, hit, ok in zip(centers, radii, enc, free):
-                if hit.any():
-                    split[np.nonzero(hit)[0][:2]] = True
-                elif ok and not (accepted and np.min(np.linalg.norm(
-                        np.asarray(accepted) - c, axis=1)) <= 0.5 * r):
-                    accepted.append(c)
+            if not split.any():
+                # quality pass
+                angles, emax, emin = _triangle_quality(pts, keep)
+                bad = (angles < min_angle) | (emax > target_h)
+                # skip triangles whose smallest feature is already at merge
+                # scale
+                bad &= emin > min_split
+                if not bad.any():
+                    break
 
-            if accepted:
-                cand = np.asarray(accepted)
-                interior = (np.vstack([interior, cand]) if len(interior)
-                            else cand)
-                qi = np.concatenate([qi, np.full(len(cand), -1)])
-            if split.any():
-                bnd, owner, at = _split_segments(bnd, owner, split)
-                qb = np.insert(qb, at, -1)
-            elif not accepted:
-                break
+                idx = np.argsort(angles)
+                idx = idx[bad[idx]][:64]
+                centers = _circumcenters(pts, keep[idx])
+                radii = np.linalg.norm(centers - pts[keep[idx, 0]], axis=1)
+
+                # circumcenter insertion with diametral-circle
+                # encroachment: a center inside a chain segment's diametral
+                # circle splits that segment instead (standard Ruppert
+                # rule).  No point lies closer to a Delaunay triangle's
+                # circumcenter than its circumradius (the empty-circle
+                # property), so the only spacing filter needed is among
+                # this batch of candidates, relative to each candidate's
+                # own circumradius (grading-aware)
+                rads = 0.5 * np.linalg.norm(nxt - bnd, axis=1)
+                seg_ok = 2.0 * rads > min_split
+                enc = ((np.linalg.norm(mids - centers[:, None], axis=2)
+                        < rads) & seg_ok)
+                free = points_in_polygon(centers, poly) & ~enc.any(axis=1)
+                for c, r, hit, ok in zip(centers, radii, enc, free):
+                    if hit.any():
+                        split[np.nonzero(hit)[0][:2]] = True
+                    elif ok and not (accepted and np.min(np.linalg.norm(
+                            np.asarray(accepted) - c, axis=1)) <= 0.5 * r):
+                        accepted.append(c)
+                if not (split.any() or accepted):
+                    break
+
+            # insertion: the midpoints of the split segments in chain
+            # order, then the accepted centers; a midpoint joins the chain
+            # after its segment's first node, on the polyline edge holding
+            # the segment (the edge of that node when it is a subdivision
+            # node, else the edge leaving the original vertex)
+            s = np.nonzero(split)[0]
+            edge_of = np.where(owner >= 0, owner, np.cumsum(owner == -1) - 1)
+            chain = np.insert(chain, s + 1, len(pts) + np.arange(len(s)))
+            owner = np.insert(owner, s + 1, edge_of[s])
+            new = np.vstack([mids[s], *accepted])
+            pts = np.vstack([pts, new])
+            tri.add_points(new)
         else:
             raise MeshFailure("refinement did not converge")
     finally:
         tri.close()
 
-    if not _boundary_is_chain(keep, len(bnd), len(pts)):
+    # renumber once to the chain-first layout: boundary nodes 0..nb-1 in
+    # chain order, then the interior points in insertion order
+    nb = len(chain)
+    inner = np.ones(len(pts), dtype=bool)
+    inner[chain] = False
+    order = np.concatenate([chain, np.nonzero(inner)[0]])
+    index = np.empty(len(pts), dtype=int)
+    index[order] = np.arange(len(pts))
+    tris = index[keep]
+    if not _boundary_is_chain(tris, nb, len(pts)):
         raise MeshFailure("boundary of triangulation is not the chain")
-    # boundary nodes 0..nb-1 are in chain order
-    loop = np.arange(len(bnd))
 
     # chain positions of merged polyline vertices: nodes with owner == -1;
     # vmap0 maps each polyline vertex to its merged vertex
-    orig_pos = np.nonzero(owner == -1)[0]
-    bvm = orig_pos[vmap0]
-    return TriangleMesh(vertices=pts, triangles=keep, boundary_loop=loop,
-                        boundary_vertex_map=bvm, target_h=target_h)
+    bvm = np.nonzero(owner == -1)[0][vmap0]
+    return TriangleMesh(vertices=pts[order], triangles=tris,
+                        boundary_loop=np.arange(nb), boundary_vertex_map=bvm,
+                        target_h=target_h)

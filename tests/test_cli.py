@@ -134,6 +134,23 @@ def test_exit_code_bad_input(tmp_path, args):
                                       [-0.5, 0.4]], delimiter=",")
     argv = [a.format(tmp=tmp_path) for a in args]
     assert main(argv + ["--out-dir", str(tmp_path / "out")] + FAST) == 3
+    # the start shape is read before the output directory is made
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,code", [("--help", 0), ("--no-such-flag", 3)])
+def test_command_line_exit_codes(tmp_path, flag, code):
+    # argparse exits 0 after printing the usage for --help, which is no
+    # configuration error; an unknown flag is one
+    proc = subprocess.run(
+        [sys.executable, "-m", "steklovmax.cli", flag, "--out-dir",
+         str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env=with_src_path(os.environ))
+    assert proc.returncode == code
+    assert "usage: steklovmax" in proc.stdout + proc.stderr
+    assert (proc.stderr == "") == (code == 0)
+    assert not (tmp_path / "out").exists()
 
 
 def test_settable_names(tmp_path):

@@ -1,6 +1,7 @@
 """Lint: every import in the package and the tests is used, every local
-name the package assigns is read, the solve path does not import the
-reference mesher or finite elements, and the package does not load
+name the package assigns is read, every module-level function and class
+of the package is used somewhere in it, the solve path does not import
+the reference mesher or finite elements, and the package does not load
 scipy.optimize.
 
 No linter ships with the project's dependencies, so this standard-library
@@ -101,6 +102,47 @@ def test_checker_finds_unread_locals():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unread_locals(path):
     assert unread_locals(path.read_text()) == []
+
+
+def unmentioned_definitions(sources):
+    """(file, line, name) of each module-level function and class in
+    sources, a dict of file name to text, that no source mentions outside
+    its own definition, as a name, an attribute or an imported name."""
+    defined, mentioned = [], set()
+    for name, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((name, stmt.lineno, stmt.name))
+                names.discard(stmt.name)
+            mentioned |= names
+    return sorted(d for d in defined if d[2] not in mentioned)
+
+
+def test_checker_finds_unmentioned_definitions():
+    sources = {"a.py": ("def used():\n    return 1\n"
+                        "def recursive(n):\n    return recursive(n - 1)\n"
+                        "class Unused:\n    pass\n"
+                        "def by_attr():\n    pass\n"),
+               "b.py": ("from a import used\nimport a\na.by_attr()\n"
+                        "def left_over():\n    return used()\n")}
+    assert unmentioned_definitions(sources) == [
+        ("a.py", 3, "recursive"), ("a.py", 5, "Unused"),
+        ("b.py", 4, "left_over")]
+
+
+def test_package_definitions_are_used():
+    # an __init__ re-export counts as a use
+    assert unmentioned_definitions(
+        {path.name: path.read_text() for path in PACKAGE}) == []
 
 
 def package_imports(source):

@@ -58,6 +58,11 @@ def test_boundary_vertex_map(name, b, h):
     err = np.linalg.norm(mapped - b.vertices, axis=1)
     # merged near-duplicate runs may shift by the merge tolerance
     assert err.max() <= 1e-3 * h + 1e-12
+    # the final renumbering puts the boundary nodes first, in chain order,
+    # so the polyline vertices map to non-decreasing mesh vertices
+    nb = len(mesh.boundary_loop)
+    assert np.array_equal(mesh.boundary_loop, np.arange(nb))
+    assert np.all(np.diff(mesh.boundary_vertex_map) >= 0)
 
 
 def test_boundary_loop_closed_and_on_boundary():
