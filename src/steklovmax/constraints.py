@@ -3,8 +3,9 @@
 The feasible set in convex mode is the polyhedron cut out by the discrete
 convexity rows, the half-width rows, one anchor row pinning the diameter,
 and a positivity floor.  Projection is the dual active-set method of
-Goldfarb and Idnani (Math. Program. 27, 1983) with identity Hessian,
-optionally warm-started from the active rows of a nearby feasible point.
+Goldfarb and Idnani (Math. Program. 27, 1983) with identity Hessian, run
+on the active rows' multipliers alone and optionally warm-started from the
+active rows of a nearby feasible point.
 """
 
 from dataclasses import dataclass
@@ -56,11 +57,11 @@ class LinearConstraintSet:
 
 @dataclass(frozen=True)
 class UnitRows:
-    """Rows G x <= h scaled to unit norm, their Gram matrix, and the
-    equalities among them.
+    """Rows G x <= h scaled to unit norm, their Gram matrix M = G G^T, and
+    the equalities among them.
 
     A row whose exact negation is also a row (the anchor row is width row
-    0 negated) makes the pair an equality: the lower-indexed row stays in
+    0 negated) makes the pair an equality: the lower-indexed row leads
     every active set with a multiplier of either sign, and its partner is
     never added, since an active set holding both would be singular.
     """
@@ -70,7 +71,6 @@ class UnitRows:
     gram: np.ndarray
     limits: np.ndarray      # bounds, +inf on the rows never added
     equalities: np.ndarray  # indices of the rows kept active
-    is_equality: np.ndarray  # per row: is it one of the equalities
     scale: float            # max(1, largest scaled bound)
 
     @classmethod
@@ -86,15 +86,15 @@ class UnitRows:
         first = {}
         for i in range(len(h)):
             first.setdefault(key(coeffs[i], bounds[i]), i)
-        is_equality = np.zeros(len(h), dtype=bool)
+        paired = np.zeros(len(h), dtype=bool)
         limits = h.copy()
         for j in range(len(h)):
             i = first.get(key(-coeffs[j], -bounds[j]))
             if i is not None and i < j:
-                is_equality[i] = True
+                paired[i] = True
                 limits[[i, j]] = np.inf
-        return cls(g, h, g @ g.T, limits, np.flatnonzero(is_equality),
-                   is_equality, max(1.0, float(np.abs(h).max(initial=0.0))))
+        return cls(g, h, g @ g.T, limits, np.flatnonzero(paired),
+                   max(1.0, float(np.abs(h).max(initial=0.0))))
 
 
 def convexity_rows(n, h):
@@ -170,15 +170,21 @@ def solve_on(x, rows, active):
     return x - rows.coeffs[active].T @ u
 
 
+def _factor(rows, active):
+    """Lower Cholesky factor of M_AA, M = rows.gram; None when it fails."""
+    # the Gram block is symmetric: its transpose is the Fortran-ordered copy
+    factor, info = lapack.dpotrf(rows.gram[active][:, active].T, lower=1)
+    return factor if info == 0 else None
+
+
 def _multipliers(excess, rows, active):
     """Lower Cholesky factor of G_A G_A^T and the multipliers u solving
     G_A G_A^T u = G_A x - h_A, given excess = G x - h; (None, None) when
     the factorization fails."""
     if not len(active):
         return np.zeros((0, 0), order="F"), np.zeros(0)
-    # the Gram block is symmetric: its transpose is the Fortran-ordered copy
-    factor, info = lapack.dpotrf(rows.gram[active][:, active].T, lower=1)
-    if info != 0:
+    factor = _factor(rows, active)
+    if factor is None:
         return None, None
     u, _ = lapack.dpotrs(factor, excess[active], lower=1)
     return factor, u
@@ -186,165 +192,80 @@ def _multipliers(excess, rows, active):
 
 def active_rows(x, rows, start=None):
     """Sorted active rows of the projection of x, found by the dual method
-    from the active rows of start (or the equalities alone)."""
-    qp = _DualActiveSet(x, rows, _seed(rows, start))
+    from the active rows of start (or the equalities alone).
+
+    The method tracks only the active rows A, led by the equalities, their
+    multipliers u (>= 0 on the inequalities) and the lower Cholesky factor
+    L of M_AA.  The rows have unit norm, so z = x - G_A^T u is never
+    formed: the excess of every row at z is e - M_A^T u, e = G x - h.  The
+    seed rows are made dual feasible by dropping every inequality with a
+    negative multiplier and re-solving, until none is negative.  Adding
+    row p, with lo = L^-1 M_Ap, lowers u_A at the rate L^-T lo and the
+    excess of p at dist^2 = M_pp - lo.lo (1 - lo.lo) per unit of u_p; an
+    inequality whose multiplier reaches 0 first is dropped and M_AA
+    refactored, and once p's excess is 0, L gains the row (lo, dist).
+    """
+    gx = rows.coeffs @ x
+    excess = gx - rows.bounds
+    eq = rows.equalities
+    first = eq.size             # the equalities lead A
+    active = eq
+    if start is not None:
+        slack = rows.limits - rows.coeffs @ np.asarray(start, dtype=float)
+        near = np.abs(slack) <= ACTIVE_TOL * rows.scale
+        active = np.concatenate([eq, np.flatnonzero(near)])
+    factor, u = _multipliers(excess, rows, active)
+    if factor is None or np.diag(factor).min(initial=1.0) < DEPENDENT_TOL:
+        # a dependent seed: start from the equalities alone
+        active = eq
+        factor, u = _multipliers(excess, rows, active)
+        if factor is None:
+            raise ProjectionFailure("equality rows dependent")
+    while (u[first:] < 0).any():
+        active = np.concatenate([eq, active[first:][u[first:] >= 0]])
+        factor, u = _multipliers(excess, rows, active)
+        if factor is None:
+            raise ProjectionFailure("active rows dependent")
+    addable = gx - rows.limits      # -inf on the rows never added
     tol = VIOLATION_TOL * rows.scale
     for _ in range(10 * len(rows.limits)):
-        viol = rows.coeffs @ qp.z - qp.limits
+        viol = addable - u @ rows.gram[active]
+        viol[active] = -np.inf
         p = int(np.argmax(viol))
         if viol[p] <= tol:
-            return np.sort(qp.rows)
-        qp.add(p, float(viol[p]))
-    raise ProjectionFailure("active-set iteration limit reached")
-
-
-def _seed(rows, start):
-    """The equalities, then the rows of start with slack within ACTIVE_TOL
-    that may be added."""
-    if start is None:
-        return rows.equalities
-    slack = rows.limits - rows.coeffs @ np.asarray(start, dtype=float)
-    near = np.abs(slack) <= ACTIVE_TOL * rows.scale
-    return np.concatenate([rows.equalities, np.flatnonzero(near)])
-
-
-class _DualActiveSet:
-    """Active rows A, their multipliers u >= 0 (equalities: any sign), the
-    lower Cholesky factor L of G_A G_A^T, and z = x - G_A^T u, the nearest
-    point to x with the rows of A active.
-
-    The seed rows with negative multipliers are dropped first
-    (_dual_feasible), so the method starts dual feasible.  Then an added
-    row appends a row to L; a dropped row leaves the rows of L above it as
-    they are, and the trailing block T, less the column c of the dropped
-    row, becomes the factor of T T^T + c c^T (a rank-one update).  The
-    equalities hold the first rows.
-    """
-
-    def __init__(self, x, rows, seed):
-        active = np.asarray(seed, dtype=int)
-        excess = rows.coeffs @ x - rows.bounds
-        factor, u = _multipliers(excess, rows, active)
-        if factor is None or np.diag(factor).min(initial=1.0) < DEPENDENT_TOL:
-            # a dependent seed: start from the equalities alone
-            active = rows.equalities
-            factor, u = _multipliers(excess, rows, active)
-            if factor is None:
-                raise ProjectionFailure("equality rows dependent")
-        keep = _dual_feasible(factor, u, rows.is_equality[active])
-        if not keep.all():
-            active = active[keep]
-            factor, u = _multipliers(excess, rows, active)
-            if factor is None:
-                raise ProjectionFailure("active rows dependent")
-        n, k = x.size, active.size
-        self.g = rows.coeffs
-        self.row_limits = rows.limits
-        self.first = rows.equalities.size   # rows before it: equalities
-        self.rows = list(active)
-        self.factor = factor
-        self.ga = np.zeros((n, n))      # G_A, one active row per row
-        self.ga[:k] = rows.coeffs[active]
-        self.u = np.zeros(n)
-        self.u[:k] = u
-        self.limits = rows.limits.copy()    # +inf on the active rows
-        self.limits[active] = np.inf
-        self.z = x - self.ga[:k].T @ u
-
-    def add(self, p, viol):
-        """Make violated row p active: move along the dual step, dropping
-        each active row whose multiplier reaches 0 first."""
-        gp = self.g[p]
-        up = 0.0
-        first = self.first
+            return np.sort(active)
+        viol_p, up = float(viol[p]), 0.0
         while True:
-            k = len(self.rows)
-            ga, u = self.ga[:k], self.u[:k]
+            k = active.size
             if k:
-                lo, _ = lapack.dtrtrs(self.factor, ga @ gp, lower=1)
-                rate, _ = lapack.dtrtrs(self.factor, lo, lower=1, trans=1)
-                step = gp - ga.T @ rate
+                lo, _ = lapack.dtrtrs(factor, rows.gram[p, active], lower=1)
+                rate, _ = lapack.dtrtrs(factor, lo, lower=1, trans=1)
             else:
                 lo = rate = np.zeros(0)
-                step = gp
-            # z moves by -t step, u_A by -t rate, u_p by +t
-            dist2 = float(step @ step)
-            full = viol / dist2 if dist2 > DEPENDENT_TOL ** 2 else np.inf
-            ratios = np.full(k - first, np.inf)
-            np.divide(u[first:], rate[first:], out=ratios,
-                      where=rate[first:] > RATE_TOL)
-            j = first + int(np.argmin(ratios)) if k > first else 0
-            partial = max(float(ratios[j - first]), 0.0) if k > first \
-                else np.inf
+            # u_A falls by t rate and p's excess by t dist2 as u_p rises by t
+            dist2 = float(rows.gram[p, p] - lo @ lo)
+            full = viol_p / dist2 if dist2 > DEPENDENT_TOL ** 2 else np.inf
+            cut = first + np.flatnonzero(rate[first:] > RATE_TOL)
+            ratios = u[cut] / rate[cut]
+            partial = max(float(ratios.min()), 0.0) if cut.size else np.inf
             t = min(full, partial)
             if t == np.inf:
                 raise ProjectionFailure("polyhedron is empty")
-            self.z -= t * step
-            u -= t * rate
+            u = u - t * rate
             up += t
             if full <= partial:
-                self._append(p, lo, np.sqrt(dist2), up)
-                return
-            viol -= t * dist2
-            self._drop(j)
-
-    def _append(self, p, lo, dist, up):
-        """L gains the row (lo, dist), lo = L^-1 G_A g_p."""
-        k = len(self.rows)
-        factor = np.zeros((k + 1, k + 1), order="F")
-        factor[:k, :k] = self.factor
-        factor[k, :k] = lo
-        factor[k, k] = dist
-        self.factor = factor
-        self.ga[k] = self.g[p]
-        self.u[k] = up
-        self.limits[p] = np.inf
-        self.rows.append(p)
-
-    def _drop(self, j):
-        """Remove active row j, whose multiplier is 0."""
-        k = len(self.rows)
-        old = self.factor
-        factor = np.zeros((k - 1, k - 1), order="F")
-        factor[:j, :j] = old[:j, :j]
-        factor[j:, :j] = old[j + 1:, :j]
-        if j < k - 1:
-            tail = old[j + 1:, j + 1:]
-            col = old[j + 1:, j]
-            factor[j:, j:], info = lapack.dpotrf(
-                tail @ tail.T + np.outer(col, col), lower=1)
-            if info != 0:
+                grown = np.zeros((k + 1, k + 1), order="F")
+                grown[:k, :k] = factor
+                grown[k, :k] = lo
+                grown[k, k] = np.sqrt(dist2)
+                factor = grown
+                active = np.concatenate([active, [p]])
+                u = np.concatenate([u, [up]])
+                break
+            viol_p -= t * dist2
+            keep = np.arange(k) != cut[np.argmin(ratios)]
+            active, u = active[keep], u[keep]
+            factor = _factor(rows, active)
+            if factor is None:
                 raise ProjectionFailure("active-set factor update failed")
-        self.factor = factor
-        for buf in (self.ga, self.u):
-            buf[j:k - 1] = buf[j + 1:k]
-        self.limits[self.rows[j]] = self.row_limits[self.rows[j]]
-        del self.rows[j]
-
-
-def _dual_feasible(factor, u, is_equality):
-    """The seed rows kept after dropping, one at a time, the inequality row
-    with the most negative multiplier until none is negative.
-
-    With M = G_A G_A^T (factor L), dropping row j moves the multipliers
-    to u - b u_j / b_j for the column b = M^-1 e_j of the current inverse;
-    after each drop the inverse loses c c^T, c = b / sqrt(b_j), so the
-    columns come from L and the dropped rows' c without refactoring.
-    """
-    k = u.size
-    # +inf marks the equalities and the rows already dropped
-    u = np.where(is_equality, np.inf, u)
-    dropped = np.zeros((k, k))      # the columns c, one per dropped row
-    unit = np.zeros(k)
-    for m in range(k):
-        j = int(np.argmin(u))
-        if u[j] >= 0:
-            break
-        unit[j] = 1.0
-        col = lapack.dpotrs(factor, unit, lower=1)[0]
-        unit[j] = 0.0
-        col -= dropped[:m].T @ dropped[:m, j]
-        u -= col * (u[j] / col[j])
-        u[j] = np.inf
-        dropped[m] = col / np.sqrt(col[j])
-    return is_equality | np.isfinite(u)
+    raise ProjectionFailure("active-set iteration limit reached")

@@ -27,7 +27,14 @@ class MeshFailure(SteklovMaxError):
 
 
 class SolverFailure(SteklovMaxError):
-    """The sparse factorization or the Lanczos eigensolve failed."""
+    """The Steklov eigensolve failed.
+
+    The harmonic solver raises it for a boundary quadrature that is
+    under-resolved, a boundary mass matrix singular on the harmonic basis,
+    an eigenfunction whose boundary residual is not resolved, and a basis
+    too small for m+1 eigenpairs; the finite elements raise it when the
+    sparse factorization or the Lanczos eigensolve fails.
+    """
 
 
 class ClusteredEigenvalue(SteklovMaxError):
@@ -35,7 +42,10 @@ class ClusteredEigenvalue(SteklovMaxError):
 
 
 class ProjectionFailure(SteklovMaxError):
-    """Polyhedron projection did not converge within its iteration cap."""
+    """The projection onto the constraint polyhedron failed: the polyhedron
+    is empty, the active rows are linearly dependent, the active-set
+    factor update failed, the active-set method reached its iteration cap,
+    or the result is infeasible."""
 
 
 class NoAscent(SteklovMaxError):

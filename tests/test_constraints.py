@@ -167,6 +167,26 @@ def test_same_active_set_gives_identical_bits(recorded):
     assert same >= len(inputs) // 2
 
 
+@pytest.fixture(scope="module")
+def floored():
+    return build_constraint_set(N, H, 2.0, 2e-3, convexity_min=0.01)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_warm_start_from_any_feasible_point(floored, seed):
+    # the ascent warm-starts from the last projection, a point near x; here
+    # start is the projection of an unrelated draw
+    rng = np.random.default_rng(seed)
+    x = np.ones(N) + 0.2 * rng.normal(size=N)
+    start = project(np.ones(N) + 0.2 * rng.normal(size=N), floored)
+    warm = project(x, floored, start)
+    assert rel_err(warm, ldp_project(x, floored)) <= 1e-10
+    rows = floored.unit_rows
+    if np.array_equal(active_rows(x, rows, start), active_rows(x, rows)):
+        assert np.array_equal(warm, project(x, floored))
+
+
 def test_width_row_0_and_anchor_both_active(cset):
     # moving p_0 out and p_{N/2} in keeps the anchor pair's width at d but
     # breaks convexity at both; the disk (start) has every width row and

@@ -1,8 +1,8 @@
 """Lint: every import in the package and the tests is used, every local
-name the package assigns is read, every module-level function and class
-of the package is used somewhere in it, the solve path does not import
-the reference mesher or finite elements, and the package does not load
-scipy.optimize.
+name the package assigns is read, every module-level function, class and
+UPPER_CASE constant of the package is used somewhere in it, the solve
+path does not import the reference mesher or finite elements, and the
+package does not load scipy.optimize.
 
 No linter ships with the project's dependencies, so this standard-library
 check stands in for one.  The package's __init__ imports only to
@@ -105,16 +105,18 @@ def test_no_unread_locals(path):
 
 
 def unmentioned_definitions(sources):
-    """(file, line, name) of each module-level function and class in
-    sources, a dict of file name to text, that no source mentions outside
-    its own definition, as a name, an attribute or an imported name."""
+    """(file, line, name) of each module-level function, class and
+    UPPER_CASE constant in sources, a dict of file name to text, that no
+    source mentions outside its own definition, as a name it reads, an
+    attribute or an imported name."""
     defined, mentioned = [], set()
     for name, source in sources.items():
         for stmt in ast.parse(source).body:
             names = set()
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
-                    names.add(node.id)
+                    if not isinstance(node.ctx, ast.Store):
+                        names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
@@ -123,6 +125,13 @@ def unmentioned_definitions(sources):
                                  ast.ClassDef)):
                 defined.append((name, stmt.lineno, stmt.name))
                 names.discard(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                defined.extend(
+                    (name, stmt.lineno, node.id) for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name) and node.id.isupper())
             mentioned |= names
     return sorted(d for d in defined if d[2] not in mentioned)
 
@@ -137,6 +146,15 @@ def test_checker_finds_unmentioned_definitions():
     assert unmentioned_definitions(sources) == [
         ("a.py", 3, "recursive"), ("a.py", 5, "Unused"),
         ("b.py", 4, "left_over")]
+
+
+def test_checker_finds_unmentioned_constants():
+    sources = {"a.py": ("TOL = 1e-9\nUNREAD_TOL, OTHER = 1, 2\n"
+                        "GROWN: int = 1\nGROWN = GROWN + 1\n"
+                        "lower = 3\nLEFT = lower\n"
+                        "def f(x):\n    return x < TOL\nf(0)\n"),
+               "b.py": "from a import OTHER\nimport a\na.LEFT\n"}
+    assert unmentioned_definitions(sources) == [("a.py", 2, "UNREAD_TOL")]
 
 
 def test_package_definitions_are_used():
