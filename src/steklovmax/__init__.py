@@ -23,10 +23,9 @@ if "numpy" not in sys.modules and \
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 from .constraints import LinearConstraintSet, build_constraint_set, project
-from .errors import (ClusteredEigenvalue, ConfigError, DegenerateBoundary,
-                     EmptyDiameterSet, MeshFailure, NoAscent,
-                     ProjectionFailure, SelfIntersection, SolverFailure,
-                     SteklovMaxError)
+from .errors import (ConfigError, DegenerateBoundary, EmptyDiameterSet,
+                     MeshFailure, NoAscent, ProjectionFailure,
+                     SelfIntersection, SolverFailure, SteklovMaxError)
 from .experiments import (PerturbationSpec, check_bound,
                           derive_bound_constant, disk_perturbation_slope,
                           multiplicity_report, slope_report)
@@ -34,8 +33,7 @@ from .fem import (FEMSpace, SteklovSpectrum, assemble, build_space,
                   solve_spectrum)
 from .geometry import (AngleGrid, BoundaryPolyline, DiameterReport,
                        SupportVector, compute_diameter, reconstruct_boundary)
-from .gradients import (cluster_indices, graph_gradient, support_gradient,
-                        vertex_field_derivative)
+from .gradients import cluster_indices, graph_gradient, support_gradient
 from .graphs import GraphPair
 from .meshing import TriangleMesh, triangulate
 from .optimize import (OptimOptions, OptimState, ascend, ascend_nonconvex,

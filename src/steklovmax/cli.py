@@ -230,13 +230,6 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _write_history(path, history):
-    with open(path, "w") as f:
-        f.write("iteration,objective\n")
-        for i, v in enumerate(history):
-            f.write(f"{i},{v:.17g}\n")
-
-
 def _diameter_pairs(rep):
     return [[int(i), int(j)] for i, j in rep.pairs]
 
@@ -251,12 +244,16 @@ def _emit_shape(out, b: BoundaryPolyline):
     b.to_svg(os.path.join(out, "shape.svg"))
 
 
+def _write_series(path, values, header=""):
+    """values as index,value rows, after a header line when one is given."""
+    rows = np.column_stack([np.arange(len(values)), values])
+    np.savetxt(path, rows, delimiter=",", fmt=("%d", "%.17g"),
+               header=header, comments="")
+
+
 def _emit_spectrum(out, b: BoundaryPolyline, m):
     spec = solve_boundary(b, m)
-    rows = np.column_stack([np.arange(len(spec.eigenvalues)),
-                            spec.eigenvalues])
-    np.savetxt(os.path.join(out, "spectrum.csv"), rows, delimiter=",",
-               fmt=("%d", "%.17g"))
+    _write_series(os.path.join(out, "spectrum.csv"), spec.eigenvalues)
     return spec
 
 
@@ -280,22 +277,22 @@ def _start(cfg):
 def _run_optimize(cfg, start):
     if cfg.mode == "optimize-convex":
         state = ascend(start, cfg)
-        variables = {"support": [float(x) for x in state.variables.p]}
+        variables = {"support": state.variables.p}
     else:
         state = ascend_nonconvex(start, cfg)
-        variables = {"graphs": {"p": [float(x) for x in state.variables.p],
-                                "q": [float(x) for x in state.variables.q]}}
+        variables = {"graphs": {"p": state.variables.p,
+                                "q": state.variables.q}}
     _emit_shape(cfg.out_dir, state.boundary)
     spec = _emit_spectrum(cfg.out_dir, state.boundary, max(cfg.k + 3, 9))
-    _write_history(os.path.join(cfg.out_dir, "history.csv"),
-                   state.objective_history)
+    _write_series(os.path.join(cfg.out_dir, "history.csv"),
+                  state.objective_history, "iteration,objective")
     return {
         **variables,
         "objective": _best_objective(state),
-        "eigenvalues": [float(x) for x in state.eigenvalues],
+        "eigenvalues": state.eigenvalues,
         "diameter": state.diameter.diameter,
         "diameter_pairs": _diameter_pairs(state.diameter),
-        "history": [float(x) for x in state.objective_history],
+        "history": state.objective_history,
         "iterations": state.iterations,
         "converged": state.converged,
         "message": state.message,
@@ -311,7 +308,7 @@ def _run_spectrum(cfg, b):
     rep = compute_diameter(b)
     return {
         "objective": float(spec.eigenvalues[cfg.k]) * rep.diameter,
-        "eigenvalues": [float(x) for x in spec.eigenvalues],
+        "eigenvalues": spec.eigenvalues,
         "diameter": rep.diameter,
         "diameter_pairs": _diameter_pairs(rep),
     }
@@ -325,9 +322,9 @@ def _run_benchmark_disk(cfg):
     measured = np.asarray(spec.eigenvalues[:9]) * (cfg.diameter / 2.0)
     err = np.abs(measured[1:] - analytic[1:]) / analytic[1:]
     return {
-        "eigenvalues": [float(x) for x in spec.eigenvalues],
-        "scaled_eigenvalues": [float(x) for x in measured],
-        "analytic": [float(x) for x in analytic],
+        "eigenvalues": spec.eigenvalues,
+        "scaled_eigenvalues": measured,
+        "analytic": analytic,
         "max_rel_error": float(err.max()),
         "passed": bool(err.max() < 5e-3),
     }

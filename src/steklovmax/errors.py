@@ -23,7 +23,8 @@ class EmptyDiameterSet(SteklovMaxError):
 
 
 class MeshFailure(SteklovMaxError):
-    """Triangulation could not meet its quality contract within the vertex budget."""
+    """Triangulation missed its quality targets: vertex budget or round cap
+    reached, refinement stalled, or the boundary chain not recovered."""
 
 
 class SolverFailure(SteklovMaxError):
@@ -35,10 +36,6 @@ class SolverFailure(SteklovMaxError):
     too small for m+1 eigenpairs; the finite elements raise it when the
     sparse factorization or the Lanczos eigensolve fails.
     """
-
-
-class ClusteredEigenvalue(SteklovMaxError):
-    """Requested a simple-eigenvalue derivative at a clustered eigenvalue."""
 
 
 class ProjectionFailure(SteklovMaxError):

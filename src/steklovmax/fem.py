@@ -57,7 +57,6 @@ class FEMSpace:
     mesh: TriangleMesh
     dof_count: int
     cell_dofs: np.ndarray       # (n_tri, 6)
-    dof_coords: np.ndarray      # (dof_count, 2)
     boundary_dofs: np.ndarray   # loop-ordered dof indices
 
 
@@ -65,8 +64,7 @@ def build_space(mesh: TriangleMesh, order: int = 2) -> FEMSpace:
     if order != 2:
         raise ValueError("order must be 2")
     tris = mesh.triangles
-    v = mesh.vertices
-    nv = len(v)
+    nv = len(mesh.vertices)
     loop = mesh.boundary_loop
     # edge dofs numbered nv, nv+1, ... in order of first appearance over
     # the triangles' local edges (1,2), (2,0), (0,1)
@@ -80,14 +78,10 @@ def build_space(mesh: TriangleMesh, order: int = 2) -> FEMSpace:
     cell_dofs = np.zeros((len(tris), 6), dtype=int)
     cell_dofs[:, :3] = tris
     cell_dofs[:, 3:] = nv + rank[inverse].reshape(-1, 3)
-    dof_coords = np.zeros((ndof, 2))
-    dof_coords[:nv] = v
-    dof_coords[nv:] = 0.5 * (v[keys[by_first] // nv] + v[keys[by_first] % nv])
-
     mid = nv + rank[np.searchsorted(keys, edge_keys(loop, np.roll(loop, -1), nv))]
     boundary_dofs = np.column_stack((loop, mid)).ravel()
     return FEMSpace(mesh=mesh, dof_count=ndof, cell_dofs=cell_dofs,
-                    dof_coords=dof_coords, boundary_dofs=boundary_dofs)
+                    boundary_dofs=boundary_dofs)
 
 
 def assemble(space: FEMSpace):

@@ -77,18 +77,6 @@ class BoundaryPolyline:
     def __len__(self):
         return self.vertices.shape[0]
 
-    def edge_lengths(self):
-        v = self.vertices
-        return np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
-
-    def arclengths(self):
-        """Cumulative arclength of each vertex, starting at 0."""
-        el = self.edge_lengths()
-        return np.concatenate(([0.0], np.cumsum(el[:-1])))
-
-    def perimeter(self):
-        return float(self.edge_lengths().sum())
-
     def area(self):
         """Signed shoelace area (positive for counterclockwise loops)."""
         x, y = self.vertices[:, 0], self.vertices[:, 1]

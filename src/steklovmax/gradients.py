@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteredEigenvalue
 from .geometry import BoundaryPolyline
 from .graphs import GraphPair
 
@@ -129,23 +128,6 @@ def _gradient_rows(spec, k, b, transform):
     return np.linalg.eigvalsh(mats)[:, 0]
 
 
-def vertex_field_derivative(spec, k, b: BoundaryPolyline, field) -> float:
-    """Derivative of a simple sigma_k under a per-vertex velocity field.
-
-    field is an (n, 2) array, one 2D velocity per polyline vertex; the
-    boundary moves piecewise linearly.
-    Raises ClusteredEigenvalue when the gap test fails.
-    """
-    lo, hi = cluster_indices(spec, k)
-    if lo != hi:
-        raise ClusteredEigenvalue(
-            f"sigma_{k} clusters with indices [{lo}, {hi}]")
-    vals = np.asarray(field, dtype=float)
-    if vals.shape != (len(b), 2):
-        raise ValueError("field must hold one 2D velocity per vertex")
-    return float(np.sum(vals * _pair_weights(spec, k, k, b)))
-
-
 def support_gradient(spec, k, b: BoundaryPolyline) -> np.ndarray:
     """Gradient of sigma_k with respect to every support value p_i.
 
@@ -170,8 +152,9 @@ def support_gradient(spec, k, b: BoundaryPolyline) -> np.ndarray:
 
 
 def graph_gradient(spec, k, gp: GraphPair, b: BoundaryPolyline):
-    """Gradients of sigma_k with respect to lower-graph values p and
-    upper-graph values q (vertical vertex perturbations V = (0, chi_i)).
+    """Gradient of sigma_k with respect to the two-graph variables, the
+    lower-graph values p then the upper-graph values q (vertical vertex
+    perturbations V = (0, chi_i)).
 
     b is gp.polyline(), the boundary that spec was solved on.
     """
@@ -181,6 +164,4 @@ def graph_gradient(spec, k, gp: GraphPair, b: BoundaryPolyline):
     def transform(W):
         return np.concatenate([W[lower, 1], W[upper, 1]])
 
-    g = _gradient_rows(spec, k, b, transform)
-    n = gp.n
-    return g[:n], g[n:]
+    return _gradient_rows(spec, k, b, transform)

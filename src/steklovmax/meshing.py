@@ -205,8 +205,8 @@ def _merge_close_vertices(verts, tol):
 def _subdivide_chain(verts, target_h):
     """Boundary nodes: polyline vertices plus extra nodes on long edges.
 
-    Returns (points, owner) where owner[j] is the polyline edge index the
-    j-th boundary node lies on (-1 for original vertices).
+    Returns (points, original) where original[j] is True where the j-th
+    boundary node is a polyline vertex.
     """
     ab = np.roll(verts, -1, axis=0) - verts
     k = np.ceil(np.linalg.norm(ab, axis=1) / target_h).astype(int)
@@ -218,7 +218,7 @@ def _subdivide_chain(verts, target_h):
     pts = verts[edge] + ab[edge] * (j / k[edge])[:, None]
     first = j == 0
     pts[first] = verts
-    return pts, np.where(first, -1, edge)
+    return pts, first
 
 
 def _hex_seeds(poly, spacing, clear):
@@ -293,6 +293,8 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
     Boundary polyline vertices are preserved as mesh vertices (modulo
     collapsing of near-duplicate runs); extra boundary nodes are inserted
     on long edges and wherever refinement splits an encroached segment.
+    Every triangle meets MIN_ANGLE_DEG and target_h, or has its shortest
+    edge at merge scale; otherwise MeshFailure is raised.
     """
     if target_h <= 0:
         raise ValueError("target_h must be positive")
@@ -300,7 +302,7 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
     merge_tol = MERGE_FRAC * target_h
     poly, vmap0 = _merge_close_vertices(b.vertices, merge_tol)
 
-    bnd, owner = _subdivide_chain(poly, target_h)
+    bnd, original = _subdivide_chain(poly, target_h)
     spacing = 0.68 * target_h
     interior = _hex_seeds(poly, spacing, clearance_test(poly, 0.6 * spacing))
 
@@ -327,7 +329,7 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
     # incremental triangulation's own numbering: the first round
     # triangulates the chain and the seeds, and each round appends its new
     # points to pts and inserts them.  chain holds the pts index of each
-    # boundary node in chain order; owner stays per chain position.
+    # boundary node in chain order; original stays per chain position.
     pts = np.vstack([bnd, interior])
     chain = np.arange(len(bnd))
     tri = _IncrementalDelaunay(pts)
@@ -380,17 +382,15 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
                             np.asarray(accepted) - c, axis=1)) <= 0.5 * r):
                         accepted.append(c)
                 if not (split.any() or accepted):
-                    break
+                    raise MeshFailure("refinement stalled: no point to "
+                                      "insert, quality targets unmet")
 
             # insertion: the midpoints of the split segments in chain
             # order, then the accepted centers; a midpoint joins the chain
-            # after its segment's first node, on the polyline edge holding
-            # the segment (the edge of that node when it is a subdivision
-            # node, else the edge leaving the original vertex)
+            # after its segment's first node
             s = np.nonzero(split)[0]
-            edge_of = np.where(owner >= 0, owner, np.cumsum(owner == -1) - 1)
             chain = np.insert(chain, s + 1, len(pts) + np.arange(len(s)))
-            owner = np.insert(owner, s + 1, edge_of[s])
+            original = np.insert(original, s + 1, False)
             new = np.vstack([mids[s], *accepted])
             pts = np.vstack([pts, new])
             tri.add_points(new)
@@ -411,9 +411,9 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
     if not _boundary_is_chain(tris, nb, len(pts)):
         raise MeshFailure("boundary of triangulation is not the chain")
 
-    # chain positions of merged polyline vertices: nodes with owner == -1;
-    # vmap0 maps each polyline vertex to its merged vertex
-    bvm = np.nonzero(owner == -1)[0][vmap0]
+    # chain positions of merged polyline vertices; vmap0 maps each
+    # polyline vertex to its merged vertex
+    bvm = np.nonzero(original)[0][vmap0]
     return TriangleMesh(vertices=pts[order], triangles=tris,
                         boundary_loop=np.arange(nb), boundary_vertex_map=bvm,
                         target_h=target_h)

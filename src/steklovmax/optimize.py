@@ -135,20 +135,23 @@ def evaluate_graphs(gp: GraphPair, opts: OptimOptions) -> Evaluation:
     return evaluate_boundary(gp.polyline(), opts)
 
 
-def project_graphs(p, q, d, gap):
-    """Projection onto {p_i <= q_i - gap, |p_i| <= d/2, |q_i| <= d/2}.
+def project_graphs(x, d, gap):
+    """Projection of x, the lower-graph values p then the upper-graph
+    values q, onto {p_i <= q_i - gap, |p_i| <= d/2, |q_i| <= d/2}.
 
     Separable per abscissa: the ordering constraint averages a crossed
     pair, then the box clips (clipping preserves the ordering).
     """
-    p = np.asarray(p, dtype=float).copy()
-    q = np.asarray(q, dtype=float).copy()
+    x = np.array(x, dtype=float)
+    p, q = np.split(x, 2)       # views into the copy x
     bad = p > q - gap
     mid = 0.5 * (p[bad] + q[bad])
     p[bad] = mid - 0.5 * gap
     q[bad] = mid + 0.5 * gap
     half = 0.5 * d
-    return np.clip(p, -half, half - gap), np.clip(q, -half + gap, half)
+    np.clip(p, -half, half - gap, out=p)
+    np.clip(q, -half + gap, half, out=q)
+    return x
 
 
 def _stopped(history, opts):
@@ -199,8 +202,7 @@ def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
                 step *= BACKTRACK
                 continue
             cand_obj = cand_ev.objective(opts.k)
-            if cand_obj >= obj + ARMIJO * max(gain_pred, 0.0) and \
-                    cand_obj >= obj:
+            if cand_obj >= obj + ARMIJO * max(gain_pred, 0.0):
                 accepted = True
                 break
             step *= BACKTRACK
@@ -315,13 +317,8 @@ def ascend_nonconvex(initial: GraphPair, opts: OptimOptions,
     def unpack(x):
         return GraphPair(x[:n], x[n:], d)
 
-    def projector(x):
-        p, q = project_graphs(x[:n], x[n:], d, gap)
-        return np.concatenate([p, q])
-
     def gradient(x, ev):
-        gl, gu = graph_gradient(ev.spectrum, opts.k, unpack(x), ev.boundary)
-        return np.concatenate([gl, gu])
+        return graph_gradient(ev.spectrum, opts.k, unpack(x), ev.boundary)
 
     def active_snapshot(x):
         p, q = x[:n], x[n:]
@@ -330,8 +327,10 @@ def ascend_nonconvex(initial: GraphPair, opts: OptimOptions,
                                   | (np.abs(q) >= d / 2 - 1e-12)))}
 
     state = _multistart(
-        np.concatenate([initial.p, initial.q]), opts, lambda x: evaluate_graphs(unpack(x), opts),
-        gradient, projector, active_snapshot, unpack, callback)
+        np.concatenate([initial.p, initial.q]), opts,
+        lambda x: evaluate_graphs(unpack(x), opts), gradient,
+        lambda x: project_graphs(x, d, gap), active_snapshot, unpack,
+        callback)
     rep = state.diameter
     if rep.diameter > d * (1.0 + 1e-3):
         state.message += f"; diameter excess {rep.diameter - d:.3e}"

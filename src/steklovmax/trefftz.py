@@ -51,12 +51,11 @@ from .gradients import BoundarySamples
 # five-lobed star (r = 1 + 0.15 cos 5 theta) to 8e-5 relative, degree 30
 # to 5e-4
 DEGREE = 45
-# Gauss points on an edge of length l: GAUSS_MIN + GAUSS_SLOPE * DEGREE * l
-# / sqrt(area), capped at DEGREE + 1 (exact for the integrands, of degree
-# at most 2 DEGREE).  The square root of the area, not the diameter, sets
-# the scale because polynomials vary fastest at the tips of thin domains.
+# Gauss points on an edge of length l: GAUSS_MIN + DEGREE * l / sqrt(area),
+# capped at DEGREE + 1 (exact for the integrands, of degree at most
+# 2 DEGREE).  The square root of the area, not the diameter, sets the
+# scale because polynomials vary fastest at the tips of thin domains.
 GAUSS_MIN = 6
-GAUSS_SLOPE = 1.0
 # ||A - A^T|| / ||A|| above this means the quadrature does not resolve the
 # basis: the ascents' shapes give 1e-15..1e-9, and too few Gauss points,
 # or trial shapes folded into spikes, give 1e-7..1 together with wrong
@@ -143,13 +142,13 @@ def _quadrature(ell, size, graded):
     position along the edge (0 at vertex edge, 1 at the next vertex) and
     its arclength weight.  Nodes are ordered by edge and position.
     """
-    counts = np.ceil(GAUSS_MIN + GAUSS_SLOPE * DEGREE * ell / size)
+    counts = np.ceil(GAUSS_MIN + DEGREE * ell / size)
     counts = np.minimum(counts, DEGREE + 1).astype(int)
     start, end = graded, np.roll(graded, -1)
     split = start | end
-    half = np.ceil(GAUSS_MIN + GAUSS_SLOPE * DEGREE * ell / (2 * size))
+    half = np.ceil(GAUSS_MIN + DEGREE * ell / (2 * size))
     half = np.minimum(half, DEGREE + 1).astype(int)
-    graded_n = np.ceil(GAUSS_MIN + GAUSS_SLOPE * DEGREE * 2 * ell / size)
+    graded_n = np.ceil(GAUSS_MIN + DEGREE * 2 * ell / size)
     graded_n = np.minimum(graded_n, GRADING * DEGREE + 1).astype(int)
     # two panels per edge in edge order, [a, b] = [0, 1/2] and [1/2, 1] on
     # a split edge; on a whole edge [0, 1] and an empty [1, 1]
@@ -230,7 +229,7 @@ def _corner_blocks(nodes, zc, gamma, n, rho):
     which puts the cut on the exterior bisector when rho is 1 over the
     interior bisector's direction (times a length scale).
 
-    Yields (cols, w, log w, w^gamma, w^n, f, f') with complex arrays of
+    Yields (cols, log w, w^gamma, w^n, f, f') with complex arrays of
     one column per corner of the block cols.  The basis function is
     Im f_c; subtracting the polynomial w^n keeps it well conditioned as
     gamma nears n (f_c -> w^n log w).  Blocks bound the memory.
@@ -252,7 +251,7 @@ def _corner_blocks(nodes, zc, gamma, n, rho):
         wg = w * e
         wn = np.where(nn == 1.0, w, 1.0)
         eps = g - nn
-        yield cols, w, logw, wg, wn, (wg - wn) / eps, (g * e - nn) / eps
+        yield cols, logw, wg, wn, (wg - wn) / eps, (g * e - nn) / eps
 
 
 def _r_factor(X):
@@ -313,8 +312,7 @@ def _samples(edge, lam, w, u, un, ut, nodes, tau, corners, coef, sigma,
     wu = w[:, None] * u
     K = np.empty((4, len(at), nm))
     L = np.empty((4, len(at), nm))
-    for cols, _, logw, wg, wn, f, df in _corner_blocks(nodes, zc, gamma, n,
-                                                        rho):
+    for cols, logw, wg, wn, f, df in _corner_blocks(nodes, zc, gamma, n, rho):
         g = gamma[cols]
         ut += (df * (rho[cols] * tau[:, None])).imag @ coef[cols]
         ddz = -df * rho[cols]                           # d f / d z_c
@@ -394,7 +392,7 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
     Xnt[0] = 0.0
     np.multiply(G.imag, orient, out=Xnt[1:DEGREE + 1])
     np.multiply(G.real, -orient, out=Xnt[DEGREE + 1:npoly])
-    for cols, _, _, _, _, f, df in _corner_blocks(nodes, *corners[1:]):
+    for cols, _, _, _, f, df in _corner_blocks(nodes, *corners[1:]):
         rows = slice(npoly + cols.start, npoly + cols.stop)
         Xt[rows] = f.imag.T * root
         Xnt[rows] = (df * (corners[4][cols] * tau_q[:, None])).real.T * (

@@ -14,6 +14,7 @@ from scipy.optimize import nnls
 
 from steklovmax.cli import _flat_graphs, _flat_support
 from steklovmax.geometry import BoundaryPolyline
+from steklovmax.gradients import _pair_weights, cluster_indices
 from steklovmax.graphs import GraphPair
 from steklovmax.optimize import solve_boundary  # noqa: F401 (shared helper)
 
@@ -72,6 +73,18 @@ def ellipse_boundary(n=100, a=1.0, b=0.6):
 
 def disk_boundary(n=100, r=1.0):
     return ellipse_boundary(n, r, r)
+
+
+def perimeter(b):
+    return float(np.linalg.norm(np.roll(b.vertices, -1, axis=0) - b.vertices,
+                                axis=1).sum())
+
+
+def vertex_derivative(spec, k, b, field):
+    """Derivative of a simple sigma_k under one velocity per vertex: the
+    contraction the optimizer's gradient rows run."""
+    assert cluster_indices(spec, k) == (k, k)
+    return float(np.sum(field * _pair_weights(spec, k, k, b)))
 
 
 def vertex_normals(b):

@@ -14,12 +14,12 @@ from steklovmax import (AngleGrid, OptimOptions, PerturbationSpec,
                         build_constraint_set, compute_diameter,
                         derive_bound_constant, disk_perturbation_slope,
                         disk_support, project, reconstruct_boundary,
-                        support_gradient, vertex_field_derivative)
+                        support_gradient)
 from steklovmax.cli import _flat_graphs, _flat_support, main
 from steklovmax.geometry import BoundaryPolyline
 import conftest
 from conftest import (disk_boundary, ellipse_boundary, solve_boundary,
-                      vertex_normals)
+                      vertex_derivative, vertex_normals)
 
 CONVEX_TARGETS = {1: 2.13536, 2: 4.73269, 3: 7.33378}
 NONCONVEX_TARGETS = {1: 2.13623, 2: 4.92925, 3: 7.76108}
@@ -122,7 +122,7 @@ def test_criterion_3_gradient_correctness():
         c = rng.normal(size=5)
         vn = (c[0] + c[1] * np.cos(ang) + c[2] * np.sin(ang)
               + c[3] * np.cos(2 * ang) + c[4] * np.sin(2 * ang))
-        d = vertex_field_derivative(spec_e, 1, be, vn[:, None] * nrm)
+        d = vertex_derivative(spec_e, 1, be, vn[:, None] * nrm)
         moved = BoundaryPolyline(be.vertices + fd_step * vn[:, None] * nrm)
         fd = (float(solve_boundary(moved, 4).eigenvalues[1]) - sig_e) / fd_step
         worst = max(worst, abs(d - fd) / max(abs(fd), 0.1))
@@ -242,9 +242,9 @@ def test_criterion_9_property_suites(tmp_path):
     # translation/dilation derivative identities on the ellipse
     b = ellipse_boundary()
     spec = solve_boundary(b, 4)
-    tr = abs(vertex_field_derivative(
+    tr = abs(vertex_derivative(
         spec, 1, b, np.tile([1.0, 0.0], (len(b), 1))))
-    dil = vertex_field_derivative(spec, 1, b, b.vertices)
+    dil = vertex_derivative(spec, 1, b, b.vertices)
     dil_err = abs(dil + float(spec.eigenvalues[1]))
     ok &= tr < 5e-3 and dil_err < 5e-3
     details.append(f"translation {tr:.1e}, dilation {dil_err:.1e}")

@@ -10,8 +10,8 @@ import steklovmax.fem as fem
 from steklovmax import assemble, build_space, solve_spectrum, triangulate
 from steklovmax.errors import SolverFailure
 from steklovmax.geometry import BoundaryPolyline
-from conftest import (disk_boundary, ellipse_boundary, two_graph_boundary,
-                      wavy_boundary)
+from conftest import (disk_boundary, ellipse_boundary, perimeter,
+                      two_graph_boundary, wavy_boundary)
 
 
 def test_disk_spectrum_benchmark(disk_spec):
@@ -86,7 +86,7 @@ def test_boundary_mass_total_is_perimeter():
     space = build_space(mesh, 2)
     _, B = assemble(space)
     ones = np.ones(space.dof_count)
-    assert np.isclose(ones @ (B @ ones), b.perimeter(), rtol=1e-12)
+    assert np.isclose(ones @ (B @ ones), perimeter(b), rtol=1e-12)
 
 
 def test_boundary_arc_total(disk_spec):
@@ -104,7 +104,10 @@ def test_tangential_derivative_of_linear_function():
     # its arclength derivative there is the x-component of the edge tangent
     b = disk_boundary(100)
     space = build_space(triangulate(b, 0.1), 2)
-    coords = space.dof_coords[space.boundary_dofs]
+    # boundary dof coordinates: vertex, segment midpoint, vertex, ...
+    ends = space.mesh.vertices[space.mesh.boundary_loop]
+    mids = 0.5 * (ends + np.roll(ends, -1, axis=0))
+    coords = np.column_stack([ends, mids]).reshape(-1, 2)
     s = fem._boundary_samples(space, coords[:, [0]], np.array([2.0]))
     v = b.vertices
     e = np.roll(v, -1, axis=0) - v
@@ -113,14 +116,13 @@ def test_tangential_derivative_of_linear_function():
     assert np.allclose(s.u[:, 0], at[:, 0], atol=1e-12)
     assert np.allclose(s.ut[:, 0], tau_x, atol=1e-12)
     assert np.array_equal(s.un, 2.0 * s.u)
-    assert np.isclose(s.weight.sum(), b.perimeter(), rtol=1e-12)
+    assert np.isclose(s.weight.sum(), perimeter(b), rtol=1e-12)
 
 
 def p2_numbering_oracle(mesh):
     """Dict-based P2 numbering: edge dofs in order of first appearance over
     the triangles' local edges (1,2), (2,0), (0,1)."""
-    tris, v = mesh.triangles, mesh.vertices
-    nv = len(v)
+    tris, nv = mesh.triangles, len(mesh.vertices)
     edges = {}
     cell_dofs = np.zeros((len(tris), 6), dtype=int)
     cell_dofs[:, :3] = tris
@@ -130,16 +132,12 @@ def p2_numbering_oracle(mesh):
             if key not in edges:
                 edges[key] = nv + len(edges)
             cell_dofs[t, 3 + k] = edges[key]
-    dof_coords = np.zeros((nv + len(edges), 2))
-    dof_coords[:nv] = v
-    for (a, b), d in edges.items():
-        dof_coords[d] = 0.5 * (v[a] + v[b])
     loop = mesh.boundary_loop
     bd = []
     for i in range(len(loop)):
         a, b = loop[i], loop[(i + 1) % len(loop)]
         bd += [a, edges[(min(a, b), max(a, b))]]
-    return cell_dofs, dof_coords, np.asarray(bd)
+    return cell_dofs, nv + len(edges), np.asarray(bd)
 
 
 @pytest.mark.parametrize("b,h", [(ellipse_boundary(100), 0.1),
@@ -147,10 +145,9 @@ def p2_numbering_oracle(mesh):
 def test_p2_numbering_matches_oracle(b, h):
     mesh = triangulate(b, h)
     space = build_space(mesh, 2)
-    cell_dofs, dof_coords, bdofs = p2_numbering_oracle(mesh)
-    assert space.dof_count == len(dof_coords)
+    cell_dofs, dof_count, bdofs = p2_numbering_oracle(mesh)
+    assert space.dof_count == dof_count
     assert np.array_equal(space.cell_dofs, cell_dofs)
-    assert np.array_equal(space.dof_coords, dof_coords)
     assert np.array_equal(space.boundary_dofs, bdofs)
 
 

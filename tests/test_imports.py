@@ -1,8 +1,9 @@
 """Lint: every import in the package and the tests is used, every local
 name the package assigns is read, every module-level function, class and
-UPPER_CASE constant of the package is used somewhere in it, the solve
-path does not import the reference mesher or finite elements, and the
-package does not load scipy.optimize.
+UPPER_CASE constant of the package is used somewhere in it, every method
+and property of its classes is called from the package, the tests or the
+benchmark, the solve path does not import the reference mesher or finite
+elements, and the package does not load scipy.optimize.
 
 No linter ships with the project's dependencies, so this standard-library
 check stands in for one.  The package's __init__ imports only to
@@ -13,6 +14,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -161,6 +163,57 @@ def test_package_definitions_are_used():
     # an __init__ re-export counts as a use
     assert unmentioned_definitions(
         {path.name: path.read_text() for path in PACKAGE}) == []
+
+
+def unmentioned_methods(package, others):
+    """(file, line, Class.method) of each method and property of a
+    module-level class in package that no source in package or others
+    (dicts of file name to text) mentions as an attribute outside its own
+    definition.  Dunder methods are exempt: Python calls them."""
+    mentioned, defined = Counter(), []
+    for name, source in [*package.items(), *others.items()]:
+        tree = ast.parse(source)
+        mentioned.update(node.attr for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute))
+        if name not in package:
+            continue
+        for cls in tree.body:
+            for fn in cls.body if isinstance(cls, ast.ClassDef) else []:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not fn.name.startswith("__"):
+                    own = sum(isinstance(node, ast.Attribute)
+                              and node.attr == fn.name
+                              for node in ast.walk(fn))
+                    defined.append((name, fn.lineno, cls.name, fn.name, own))
+    return sorted((name, line, f"{cls}.{fn}")
+                  for name, line, cls, fn, own in defined
+                  if mentioned[fn] <= own)
+
+
+def test_checker_finds_unmentioned_methods():
+    package = {"a.py": ("class A:\n"
+                        "    def __len__(self):\n        return 0\n"
+                        "    def used(self):\n"
+                        "        return self.used_here()\n"
+                        "    def used_here(self):\n        return 1\n"
+                        "    @property\n"
+                        "    def size(self):\n        return 1\n"
+                        "    def recursive(self, n):\n"
+                        "        return self.recursive(n - 1)\n"
+                        "    def unused(self):\n        pass\n")}
+    others = {"t.py": "from a import A\nA().used() + A().size\n"}
+    assert unmentioned_methods(package, others) == [
+        ("a.py", 11, "A.recursive"), ("a.py", 13, "A.unused")]
+    # a file outside the package only mentions; its classes are not checked
+    assert unmentioned_methods({}, {**package, **others}) == []
+
+
+def test_package_methods_are_used():
+    def texts(paths):
+        return {str(p.relative_to(ROOT)): p.read_text() for p in paths}
+    assert unmentioned_methods(
+        texts(PACKAGE), texts([*(ROOT / "tests").glob("*.py"),
+                               *(ROOT / "perfbench").glob("*.py")])) == []
 
 
 def package_imports(source):

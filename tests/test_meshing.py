@@ -9,7 +9,7 @@ import steklovmax.meshing as meshing
 from steklovmax import (AngleGrid, OptimOptions, SupportVector,
                         build_constraint_set, project, reconstruct_boundary,
                         triangulate)
-from steklovmax.errors import SelfIntersection
+from steklovmax.errors import MeshFailure, SelfIntersection
 from steklovmax.geometry import BoundaryPolyline, _segments_cross, check_simple
 from steklovmax.graphs import GraphPair
 from steklovmax.meshing import (MERGE_FRAC, _boundary_is_chain,
@@ -199,6 +199,16 @@ def test_boundary_check_rejects_missing_chain_edge():
     assert not _boundary_is_chain(tris[~holds], nb, n)
 
 
+def test_refinement_stall_raises(monkeypatch):
+    # circumcenters outside the polygon leave the quality pass nothing to
+    # insert while bad triangles remain: the mesher raises rather than
+    # return those triangles
+    monkeypatch.setattr(meshing, "_circumcenters",
+                        lambda verts, tris: np.full((len(tris), 2), 10.0))
+    with pytest.raises(MeshFailure, match="stalled"):
+        triangulate(ellipse(), 0.1)
+
+
 def pool_like_boundary():
     """A convex shape like the benchmark's spectrum pool: the support of
     the (1, 0.6) ellipse at N = 200 plus small harmonics, projected onto
@@ -340,18 +350,18 @@ def check_simple_oracle(b):
 def subdivide_oracle(verts, target_h):
     n = len(verts)
     pts = []
-    owner = []
+    original = []
     for i in range(n):
         a = verts[i]
         b = verts[(i + 1) % n]
         pts.append(a)
-        owner.append(-1)
+        original.append(True)
         length = np.linalg.norm(b - a)
         k = int(np.ceil(length / target_h))
         for j in range(1, k):
             pts.append(a + (b - a) * (j / k))
-            owner.append(i)
-    return np.asarray(pts), np.asarray(owner)
+            original.append(False)
+    return np.asarray(pts), np.asarray(original)
 
 
 def quality_oracle(v, keep):
@@ -444,11 +454,11 @@ def test_check_simple_matches_oracle_on_random_loops(monkeypatch):
 @pytest.mark.parametrize("name,b", SHAPES, ids=[c[0] for c in SHAPES])
 def test_subdivide_chain_matches_oracle(name, b):
     for h in (0.02, 0.1, 0.35):
-        pts, owner = _subdivide_chain(b.vertices, h)
-        ref_pts, ref_owner = subdivide_oracle(b.vertices, h)
+        pts, original = _subdivide_chain(b.vertices, h)
+        ref_pts, ref_original = subdivide_oracle(b.vertices, h)
         assert np.array_equal(pts, ref_pts)
         assert pts.tobytes() == ref_pts.tobytes()
-        assert np.array_equal(owner, ref_owner)
+        assert np.array_equal(original, ref_original)
 
 
 @pytest.mark.parametrize("name,b", SHAPES[:3], ids=[c[0] for c in SHAPES[:3]])

@@ -1,5 +1,7 @@
 """Ascent loop: feasibility, monotonicity, stopping, graph projection."""
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -71,24 +73,38 @@ def test_nonconvex_short_run():
     assert np.all(gp.p <= gp.q)
 
 
+@pytest.mark.parametrize("ascent,start,rows", [
+    (ascend, disk_support, {"convexity", "width", "anchor", "positivity"}),
+    (ascend_nonconvex, disk_graphs, {"ordering", "box"})],
+    ids=["convex", "nonconvex"])
+def test_verbose_log_line_per_accepted_step(capsys, ascent, start, rows):
+    # iteration, objective, step, active rows by kind, cluster size
+    opts = OptimOptions(k=1, verbose=True, **FAST)
+    history = ascent(start(opts), opts).objective_history
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert len(lines) == len(history) - 1 >= 1
+    for i, (it, obj, step, active, cluster) in enumerate(lines, start=1):
+        assert int(it) == i
+        assert obj == f"{history[i]:.8f}"
+        assert float(step) > 0
+        assert set(ast.literal_eval(active)) == rows
+        assert int(cluster) >= 1
+
+
 def test_project_graphs_ordering_and_box():
     rng = np.random.default_rng(2)
     d, gap = 2.0, 1e-3
     for _ in range(20):
-        p = rng.uniform(-1.5, 1.5, size=30)
-        q = rng.uniform(-1.5, 1.5, size=30)
-        pp, qq = project_graphs(p, q, d, gap)
+        x = rng.uniform(-1.5, 1.5, size=60)
+        pp, qq = np.split(project_graphs(x, d, gap), 2)
         assert np.all(pp <= qq - gap + 1e-12)
         assert np.all(np.abs(pp) <= d / 2 + 1e-12)
         assert np.all(np.abs(qq) <= d / 2 + 1e-12)
 
 
 def test_project_graphs_identity_on_feasible():
-    p = np.array([-0.5, -0.3, -0.4])
-    q = np.array([0.5, 0.6, 0.2])
-    pp, qq = project_graphs(p, q, 2.0, 1e-3)
-    assert np.allclose(pp, p)
-    assert np.allclose(qq, q)
+    x = np.array([-0.5, -0.3, -0.4, 0.5, 0.6, 0.2])
+    assert np.allclose(project_graphs(x, 2.0, 1e-3), x)
 
 
 def test_options_validation():

@@ -7,12 +7,12 @@ import pytest
 from steklovmax import trefftz
 from steklovmax.errors import SelfIntersection, SolverFailure
 from steklovmax.geometry import BoundaryPolyline
-from steklovmax.gradients import (_pair_weights, cluster_indices,
-                                  vertex_field_derivative)
+from steklovmax.gradients import _pair_weights, cluster_indices
 from steklovmax.trefftz import solve_harmonic
 from conftest import (arnoldi_oracle, convex_flat_start, disk_boundary,
                       ellipse_boundary, fem_spectrum, nonconvex_flat_start,
-                      two_graph_boundary, vertex_normals, wavy_boundary)
+                      two_graph_boundary, vertex_derivative, vertex_normals,
+                      wavy_boundary)
 
 M = 5   # sigma_0..sigma_5: every eigenvalue the ascent reads for k <= 3
 
@@ -38,7 +38,7 @@ def _smooth_normal_field(b, rng):
 
 @pytest.mark.parametrize("b", SHAPES)
 def test_shape_derivative_matches_central_fd(b):
-    # simple sigma_1: vertex_field_derivative; a double sigma_1 = sigma_2
+    # simple sigma_1: vertex_derivative; a double sigma_1 = sigma_2
     # (disk, five-fold wavy domain): the trace of the cluster matrix is the
     # derivative of sigma_1 + sigma_2, which is smooth
     spec = solve_harmonic(b, M)
@@ -48,7 +48,7 @@ def test_shape_derivative_matches_central_fd(b):
     for _ in range(3):
         field = _smooth_normal_field(b, rng)
         if lo == hi:
-            pred = vertex_field_derivative(spec, 1, b, field)
+            pred = vertex_derivative(spec, 1, b, field)
         else:
             pred = sum(np.sum(field * _pair_weights(spec, j, j, b))
                        for j in range(lo, hi + 1))
@@ -63,9 +63,9 @@ def test_translation_and_dilation_identities(ellipse_case):
     b, spec = ellipse_case
     sig = float(spec.eigenvalues[1])
     for e in ([1.0, 0.0], [0.0, 1.0]):
-        d = vertex_field_derivative(spec, 1, b, np.tile(e, (len(b), 1)))
+        d = vertex_derivative(spec, 1, b, np.tile(e, (len(b), 1)))
         assert abs(d) < 1e-10
-    d = vertex_field_derivative(spec, 1, b, b.vertices)
+    d = vertex_derivative(spec, 1, b, b.vertices)
     assert abs(d + sig) < 1e-10
 
 
@@ -77,9 +77,9 @@ def test_identities_with_corner_functions():
     assert np.any(spec.samples.basis_motion != 0.0)
     sig = float(spec.eigenvalues[1])
     for e in ([1.0, 0.0], [0.0, 1.0]):
-        d = vertex_field_derivative(spec, 1, b, np.tile(e, (len(b), 1)))
+        d = vertex_derivative(spec, 1, b, np.tile(e, (len(b), 1)))
         assert abs(d) < 1e-5 * sig
-    d = vertex_field_derivative(spec, 1, b, b.vertices)
+    d = vertex_derivative(spec, 1, b, b.vertices)
     assert abs(d + sig) < 1e-5 * sig
 
 
@@ -110,8 +110,12 @@ def test_orientation_does_not_matter(ellipse_case):
 
 
 def test_too_few_gauss_points_raise(monkeypatch):
+    # GAUSS_MIN = 2 points on every edge: an infinite area scale drops the
+    # length-dependent term of the counts
+    quadrature = trefftz._quadrature
     monkeypatch.setattr(trefftz, "GAUSS_MIN", 2)
-    monkeypatch.setattr(trefftz, "GAUSS_SLOPE", 0.0)
+    monkeypatch.setattr(trefftz, "_quadrature", lambda ell, size, graded:
+                        quadrature(ell, np.inf, graded))
     with pytest.raises(SolverFailure, match="quadrature under-resolved"):
         solve_harmonic(two_graph_boundary(), M)
 
