@@ -342,10 +342,14 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
             mids = 0.5 * (bnd + nxt)
 
             # boundary recovery: every chain segment must appear as a kept
-            # edge; the missing ones are split before any quality round
-            split = ~np.isin(edge_keys(chain, np.roll(chain, -1), len(pts)),
-                             edge_keys(keep, np.roll(keep, -1, axis=1),
-                                       len(pts)))
+            # edge; the missing ones are split before any quality round.
+            # The kept edges are looked up in their sorted keys, closed by
+            # a sentinel above every key
+            edges = np.append(np.sort(edge_keys(
+                keep, np.roll(keep, -1, axis=1), len(pts)), axis=None),
+                np.iinfo(np.int64).max)
+            want = edge_keys(chain, np.roll(chain, -1), len(pts))
+            split = edges[np.searchsorted(edges, want)] != want
             accepted = []
             if not split.any():
                 # quality pass

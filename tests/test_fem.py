@@ -243,10 +243,14 @@ def schur_oracle(space, K, B):
     return eigh(0.5 * (S + S.T), 0.5 * (Bbb + Bbb.T))
 
 
-ORACLE_CASES = [pytest.param(disk_boundary(100), 4, id="disk"),
-                pytest.param(ellipse_boundary(100, 1.0, 0.3), 5,
+# the finer ellipse checks the factorization and Lanczos stopping nearer
+# the benchmark's h = 0.035
+ORACLE_CASES = [pytest.param(disk_boundary(100), 4, 0.1, id="disk"),
+                pytest.param(ellipse_boundary(100, 1.0, 0.3), 5, 0.1,
                              id="flat-ellipse"),
-                pytest.param(two_graph_boundary(), 5, id="two-graph")]
+                pytest.param(two_graph_boundary(), 5, 0.1, id="two-graph"),
+                pytest.param(ellipse_boundary(), 5, 0.05,
+                             id="ellipse-h0.05")]
 
 
 def _solved(b, h=0.1):
@@ -254,10 +258,10 @@ def _solved(b, h=0.1):
     return (space,) + assemble(space)
 
 
-@pytest.mark.parametrize("b,m", ORACLE_CASES)
-def test_spectrum_matches_schur_oracle(b, m):
+@pytest.mark.parametrize("b,m,h", ORACLE_CASES)
+def test_spectrum_matches_schur_oracle(b, m, h):
     # the disk's sigma_1..sigma_4 are two double pairs; m = 4 keeps both
-    space, K, B = _solved(b)
+    space, K, B = _solved(b, h)
     spec = solve_spectrum(space, K, B, m)
     w, y = schur_oracle(space, K, B)
     w, y = w[:m + 1], y[:, :m + 1]
@@ -269,6 +273,36 @@ def test_spectrum_matches_schur_oracle(b, m):
     T, Bbb = spec.traces, spec.b_boundary
     assert np.abs(T @ (T.T @ Bbb @ y) - y).max() < 1e-8
     assert np.allclose(T.T @ Bbb @ T, np.eye(m + 1), atol=1e-8)
+
+
+class _CountingLU:
+    """A SuperLU factor that counts its solves."""
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.factor.solve(rhs)
+
+
+def test_eigensolve_work_bounded(monkeypatch):
+    # the factor's fill and the number of Lanczos solves on the aspect-0.6
+    # ellipse at the benchmark's h; with Lanczos run to machine precision
+    # it took 44 solves
+    factors = []
+
+    def counting_splu(*args, **kwargs):
+        factors.append(_CountingLU(splu(*args, **kwargs)))
+        return factors[-1]
+
+    space, K, B = _solved(ellipse_boundary(), 0.035)
+    monkeypatch.setattr(fem, "splu", counting_splu)
+    solve_spectrum(space, K, B, 5)
+    [lu] = factors
+    assert lu.factor.L.nnz + lu.factor.U.nnz <= 1164938
+    assert lu.solves <= 33
 
 
 def test_spectrum_repeatable():
