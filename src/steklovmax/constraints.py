@@ -39,9 +39,6 @@ class LinearConstraintSet:
     bounds: np.ndarray      # (n_rows,)
     tags: np.ndarray        # (n_rows,) of str
 
-    def __len__(self):
-        return self.coeffs.shape[0]
-
     def residuals(self, x):
         """Slack h - G x of every row at x; feasible iff all >= 0."""
         return self.bounds - self.coeffs @ x

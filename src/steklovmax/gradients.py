@@ -117,8 +117,6 @@ def _gradient_rows(spec, k, b, transform):
     differences give 0.100).
     """
     lo, hi = cluster_indices(spec, k)
-    if lo == hi:
-        return transform(_pair_weights(spec, k, k, b))
     m = hi - lo + 1
     rows = {(a, bb): transform(_pair_weights(spec, lo + a, lo + bb, b))
             for a in range(m) for bb in range(a, m)}

@@ -74,8 +74,9 @@ class OptimOptions:
             # written so that NaN fails too
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name in ("restarts", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def target_h(self):
@@ -154,115 +155,101 @@ def project_graphs(x, d, gap):
     return x
 
 
-def _stopped(history, opts):
-    if len(history) <= STOP_WINDOW:
-        return False
-    ref = max(abs(history[-1]), 1e-30)
-    return (history[-1] - history[-1 - STOP_WINDOW]) / ref < opts.tol
-
-
-def _ascent_loop(x0, opts, evaluate, gradient, projector, active_snapshot,
-                 callback=None):
-    """Generic projected-gradient ascent with Armijo backtracking.
+def _ascent(x0, opts, evaluate, gradient, projector, active_snapshot,
+            variables, callback=None) -> OptimState:
+    """Projected-gradient ascent with Armijo backtracking and seeded random
+    restarts around the best point.
 
     evaluate(x) -> Evaluation; gradient(x, ev) -> ascent direction in the
-    variables at x, whose evaluation is ev; projector(x) -> feasible point.
+    variables at x, whose evaluation is ev; projector(x) -> feasible point;
+    variables(x) maps the reported point to the state's variables.
     evaluate and projector raise one of REJECTED on a candidate that cannot
-    be used; at x0 that raises NoAscent.
-    """
-    try:
-        x = projector(x0)
-        ev = evaluate(x)
-    except REJECTED as exc:
-        raise NoAscent(f"initial point rejected by {type(exc).__name__}: "
-                       f"{exc}") from exc
-    obj = ev.objective(opts.k)
-    history = [obj]
-    best_x, best_ev, best_obj = x, ev, obj
-    step = STEP0
-    converged = False
-    message = "max_iters reached"
-    it = 0
-    for it in range(1, opts.max_iters + 1):
-        g = gradient(x, ev)
-        accepted = False
-        while step >= STEP_MIN:
-            try:
-                cand = projector(x + step * g)
-            except ProjectionFailure:
-                step *= BACKTRACK
-                continue
-            move = cand - x
-            gain_pred = float(g @ move)
-            if np.linalg.norm(move) < 1e-14 * max(1.0, np.linalg.norm(x)):
-                break
-            try:
-                cand_ev = evaluate(cand)
-            except REJECTED:
-                step *= BACKTRACK
-                continue
-            cand_obj = cand_ev.objective(opts.k)
-            if cand_obj >= obj + ARMIJO * max(gain_pred, 0.0):
-                accepted = True
-                break
-            step *= BACKTRACK
-        if not accepted:
-            converged = True
-            message = "no feasible ascent step"
-            break
-        x, ev, obj = cand, cand_ev, cand_obj
-        history.append(obj)
-        if obj > best_obj:
-            best_x, best_ev, best_obj = x, ev, obj
-        if callback is not None:
-            callback(it, x, ev)
-        if opts.verbose:
-            lo, hi = cluster_indices(ev.spectrum, opts.k)
-            print(f"{it}\t{obj:.8f}\t{step:.3e}\t{active_snapshot(x)}\t"
-                  f"{hi - lo + 1}")
-        step = min(step / BACKTRACK, STEP_MAX)
-        if _stopped(history, opts):
-            converged = True
-            # the option's former name; result.json records this text
-            message = "objective change below stop_tol"
-            break
-    return best_x, best_ev, history, it, converged, message
-
-
-def _multistart(x0, opts, evaluate, gradient, projector, active_snapshot,
-                variables, callback=None) -> OptimState:
-    """Ascent with seeded random restarts around the incumbent best.
-
-    The first pass starts at x0; each restart perturbs the best point found
-    so far with Gaussian noise of scale RESTART_SCALE * diameter, projects
-    it feasible, and re-runs the loop.  Deterministic given opts.seed.
-    variables(x) maps the best point to the state's variables.
+    be used: a trial step is then halved, a restart skipped, and the first
+    start raises NoAscent.  The first pass starts at x0; each restart
+    perturbs the reported point with Gaussian noise of scale
+    RESTART_SCALE * diameter and is reported instead when its final
+    objective is strictly higher.  Deterministic given opts.seed.
     """
     rng = np.random.default_rng(opts.seed)
-    best = _ascent_loop(x0, opts, evaluate, gradient, projector,
-                        active_snapshot, callback)
-    history, iters = list(best[2]), best[3]
-    for _ in range(opts.restarts):
-        noise = rng.normal(scale=RESTART_SCALE * opts.diameter,
-                           size=np.asarray(best[0]).shape)
+    history, iters = [], 0
+    for restart in range(opts.restarts + 1):
+        start = x0
+        if restart:
+            start = rep_x + rng.normal(scale=RESTART_SCALE * opts.diameter,
+                                       size=np.shape(rep_x))
         try:
-            out = _ascent_loop(best[0] + noise, opts, evaluate, gradient,
-                               projector, active_snapshot, callback)
-        except NoAscent:
-            continue
-        history.extend(out[2])
-        iters += out[3]
-        if out[2][-1] > max(best[2]):
-            best = out
-    best_x, best_ev, _, _, converged, message = best
+            x = projector(start)
+            ev = evaluate(x)
+        except REJECTED as exc:
+            if restart:
+                continue
+            raise NoAscent(f"initial point rejected by {type(exc).__name__}: "
+                           f"{exc}") from exc
+        obj = ev.objective(opts.k)
+        first = len(history)        # this pass's values are history[first:]
+        history.append(obj)
+        best_x, best_ev, best_obj = x, ev, obj
+        step = STEP0
+        converged = False
+        message = "max_iters reached"
+        for it in range(1, opts.max_iters + 1):
+            g = gradient(x, ev)
+            accepted = False
+            while step >= STEP_MIN:
+                try:
+                    cand = projector(x + step * g)
+                except ProjectionFailure:
+                    step *= BACKTRACK
+                    continue
+                move = cand - x
+                gain_pred = float(g @ move)
+                if np.linalg.norm(move) < 1e-14 * max(1.0, np.linalg.norm(x)):
+                    break
+                try:
+                    cand_ev = evaluate(cand)
+                except REJECTED:
+                    step *= BACKTRACK
+                    continue
+                cand_obj = cand_ev.objective(opts.k)
+                if cand_obj >= obj + ARMIJO * max(gain_pred, 0.0):
+                    accepted = True
+                    break
+                step *= BACKTRACK
+            if not accepted:
+                converged = True
+                message = "no feasible ascent step"
+                break
+            x, ev, obj = cand, cand_ev, cand_obj
+            history.append(obj)
+            if obj > best_obj:
+                best_x, best_ev, best_obj = x, ev, obj
+            if callback is not None:
+                callback(it, x, ev)
+            if opts.verbose:
+                lo, hi = cluster_indices(ev.spectrum, opts.k)
+                print(f"{it}\t{obj:.8f}\t{step:.3e}\t{active_snapshot(x)}\t"
+                      f"{hi - lo + 1}")
+            step = min(step / BACKTRACK, STEP_MAX)
+            if (len(history) - first > STOP_WINDOW
+                    and (obj - history[-1 - STOP_WINDOW])
+                    / max(abs(obj), 1e-30) < opts.tol):
+                converged = True
+                # the option's former name; result.json records this text
+                message = "objective change below stop_tol"
+                break
+        iters += it
+        # a pass's values never fall, so obj is its highest
+        if not restart or obj > rep_obj:
+            rep_x, rep_ev, rep_obj = best_x, best_ev, obj
+            rep_converged, rep_message = converged, message
     return OptimState(
-        variables=variables(best_x),
+        variables=variables(rep_x),
         objective_history=history,
-        eigenvalues=best_ev.eigenvalues,
-        diameter=best_ev.diameter,
-        boundary=best_ev.boundary,
-        active_rows=active_snapshot(best_x),
-        iterations=iters, converged=converged, message=message)
+        eigenvalues=rep_ev.eigenvalues,
+        diameter=rep_ev.diameter,
+        boundary=rep_ev.boundary,
+        active_rows=active_snapshot(rep_x),
+        iterations=iters, converged=rep_converged, message=rep_message)
 
 
 def ascend(initial: SupportVector, opts: OptimOptions,
@@ -296,7 +283,7 @@ def ascend(initial: SupportVector, opts: OptimOptions,
         return {tag: int(np.sum((cset.tags == tag) & (np.abs(r) < 1e-8)))
                 for tag in ("convexity", "width", "anchor", "positivity")}
 
-    return _multistart(
+    return _ascent(
         initial.p, opts, lambda p: evaluate_support(p, opts), gradient,
         projector, active_snapshot, lambda p: SupportVector(grid, p),
         callback)
@@ -326,7 +313,7 @@ def ascend_nonconvex(initial: GraphPair, opts: OptimOptions,
                 "box": int(np.sum((np.abs(p) >= d / 2 - 1e-12)
                                   | (np.abs(q) >= d / 2 - 1e-12)))}
 
-    state = _multistart(
+    state = _ascent(
         np.concatenate([initial.p, initial.q]), opts,
         lambda x: evaluate_graphs(unpack(x), opts), gradient,
         lambda x: project_graphs(x, d, gap), active_snapshot, unpack,

@@ -304,9 +304,6 @@ def _samples(edge, lam, w, u, un, ut, nodes, tau, corners, coef, sigma,
     at, zc, gamma, n, rho = corners
     nv, nm = len(dz), len(sigma)
     W = np.zeros((nv, 2, nm, nm))
-    if len(at) == 0:
-        return BoundarySamples(edge=edge, lam=lam, weight=w, u=u, ut=ut,
-                               un=un, basis_motion=W.transpose(2, 3, 0, 1))
     ut = ut.copy()
     wr = w[:, None] * (un - u * sigma)
     wu = w[:, None] * u

@@ -302,6 +302,32 @@ def test_multiplicity_refuses_initial_above_k1(tmp_path, capsys, source):
     assert not out.exists()
 
 
+def test_slope_run(tmp_path):
+    assert main(["--mode", "experiment:slope", "--out-dir", str(tmp_path)]
+                + FAST) == 0
+    payload = json.loads((tmp_path / "result.json").read_text())
+    assert {"experiment", "epsilons", "n_angles", "measured_slope",
+            "predicted_slope", "passed", "config"} <= set(payload)
+    assert payload["experiment"] == "disk-perturbation-slope"
+    assert payload["n_angles"] == 100
+    assert payload["passed"]
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["disk-start", "flat-start"])
+def test_multiplicity_run(tmp_path, k):
+    assert main(["--mode", "experiment:multiplicity", "--k", str(k),
+                 "--n-angles", "60", "--max-iters", "5",
+                 "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "result.json").read_text())
+    assert {"experiment", "k", "eigenvalues", "upper_gap_ratio",
+            "lower_gap_ratio", "passed", "objective", "config"} \
+        <= set(payload)
+    assert payload["experiment"] == "multiplicity"
+    assert payload["k"] == k
+    assert payload["passed"]
+    assert (tmp_path / "shape.csv").exists()
+
+
 def test_benchmark_disk_run(tmp_path):
     rc = main(["--mode", "benchmark-disk", "--out-dir", str(tmp_path)] + FAST)
     assert rc == 0

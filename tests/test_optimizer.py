@@ -116,8 +116,9 @@ def test_options_validation():
         for bad in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 OptimOptions(**{name: bad})
-    with pytest.raises(ValueError):
-        OptimOptions(seed=-1)
+    for name in ("restarts", "seed"):
+        with pytest.raises(ValueError, match=name):
+            OptimOptions(**{name: -1})
 
 
 def test_initial_mismatch_rejected():
@@ -193,6 +194,40 @@ def test_rejected_restart_is_skipped(monkeypatch):
     assert len(failed) == 1 + opts.restarts
     assert len(st.objective_history) == opts.max_iters + 1
     assert _monotone(st.objective_history)
+
+
+def test_stop_rule_ends_pass():
+    # a gain below tol over STOP_WINDOW accepted steps ends the pass
+    opts = OptimOptions(k=1, n_angles=60, tol=0.5, max_iters=50, restarts=0)
+    st = ascend(disk_support(opts), opts)
+    assert st.converged
+    assert st.message == "objective change below stop_tol"
+    assert len(st.objective_history) == optimize.STOP_WINDOW + 1
+    assert st.iterations == optimize.STOP_WINDOW
+
+
+def test_vanishing_move_ends_pass(monkeypatch):
+    # a projection that returns the warm-start point moves nowhere; the
+    # zero move would pass the Armijo test forever, so the pass must end
+    # before it spends an evaluation on it
+    real = optimize.evaluate_support
+    evaluations = []
+
+    def evaluate(p, opts):
+        evaluations.append(1)
+        return real(p, opts)
+
+    def stuck(p, cset, start=None):
+        return p.copy() if start is None else start
+
+    monkeypatch.setattr(optimize, "evaluate_support", evaluate)
+    monkeypatch.setattr(optimize, "project", stuck)
+    opts = OptimOptions(k=1, **FAST)
+    st = ascend(disk_support(opts), opts)
+    assert st.converged
+    assert st.message == "no feasible ascent step"
+    assert len(evaluations) == 1
+    assert len(st.objective_history) == 1
 
 
 def test_each_evaluation_calls_every_layer_once(monkeypatch):
