@@ -22,6 +22,8 @@ class AngleGrid:
 
     def __post_init__(self):
         n = self.n_angles
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n_angles must be an integer, got {n!r}")
         if n < 8 or n % 2 != 0:
             raise ValueError(f"n_angles must be even and >= 8, got {n}")
 

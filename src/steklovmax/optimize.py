@@ -67,6 +67,11 @@ class OptimOptions:
     graph_gap_factor = 1e-3
 
     def __post_init__(self):
+        for name in ("k", "max_iters", "restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         AngleGrid(self.n_angles)    # raises on a bad n_angles

@@ -12,10 +12,12 @@ evaluated by Gauss quadrature on every edge.  The polynomials come from
 Arnoldi iteration at the quadrature nodes ("Vandermonde with Arnoldi",
 Brubeck, Nakatsukasa and Trefethen, SIAM Review 2021), which keeps the
 basis well conditioned and carries the derivatives p' along.  B is
-factored by a Cholesky QR of the weighted basis values, one pass for the
-well-conditioned polynomial bases of convex shapes and a second one
-(CholeskyQR2) when corner functions make the basis ill-conditioned, and
-the pencil is solved by one dense symmetric eigensolve.  Ritz values bound
+factored by a block Cholesky QR of the weighted basis values: one pass
+for the well-conditioned polynomial block, two block Gram-Schmidt passes
+of the corner functions against it, and two Cholesky QR passes
+(CholeskyQR2) for what is left of the ill-conditioned corner block.  A
+convex support polygon's basis has no corner block.  The pencil is
+solved by one dense symmetric eigensolve.  Ritz values bound
 the polygon's exact eigenvalues from above, up to quadrature error.
 
 At a corner of interior angle alpha the eigenfunctions behave like
@@ -87,8 +89,9 @@ GRADING = 3
 RESIDUAL_TOL = 0.1
 # corner functions are evaluated this many at a time
 CORNER_BLOCK = 16
-# _r_factor stops after one Cholesky QR pass when LAPACK's estimate of
-# cond(R) is at most this: X R^-1 is then orthonormal to eps cond^2 < 1e-11
+# _r_factor takes one Cholesky QR pass on the polynomial block P when
+# LAPACK's estimate of cond(R_pp) is at most this: P R_pp^-1 is then
+# orthonormal to eps cond^2 < 1e-11.  The corner block always takes two.
 ONE_PASS_COND = 1e2
 
 
@@ -254,22 +257,49 @@ def _corner_blocks(nodes, zc, gamma, n, rho):
         yield cols, logw, wg, wn, (wg - wn) / eps, (g * e - nn) / eps
 
 
-def _r_factor(X):
-    """Upper triangular R with X^T X = R^T R, by Cholesky QR: R_1 from the
-    Gram matrix of X, and when cond(R_1) exceeds ONE_PASS_COND a second
-    pass on X R_1^-1 (CholeskyQR2, as accurate as a Householder QR for
-    cond(X) < 1e7; the corner functions take the non-convex ascents'
-    bases to 1e4..1e6).  One pass leaves X R^-1 orthonormal to about
-    eps cond(X)^2, so the polynomial bases of convex shapes (cond 2..5)
-    take one.  X is F-contiguous, the layout the BLAS calls read without
-    a copy.
+def _r_factor(X, npoly):
+    """Upper triangular R with X^T X = R^T R, by block Cholesky QR of
+    X = [P, C], P its first npoly (polynomial) columns and C the corner
+    functions:
+
+        R = [[R_pp, R_pc],
+             [0,    R_cc]].
+
+    R_pp is one Cholesky QR pass on P, and a second one on P R_pp^-1 when
+    cond(R_pp) exceeds ONE_PASS_COND: the Arnoldi polynomials have cond
+    2..5, and one pass leaves P R_pp^-1 orthonormal to about eps cond^2.
+    C is orthogonalized against P by two block classical Gram-Schmidt
+    passes, S = R_pp^-T P^T C, C <- C - P R_pp^-1 S, R_pc += S (a second
+    pass recovers what the first loses to cancellation when a corner
+    function is nearly polynomial), and R_cc is CholeskyQR2 on what is
+    left of C (as accurate as a Householder QR for cond < 1e7; the corner
+    functions take the non-convex ascents' bases to 1e4..1e6).  A
+    corner-free basis, every convex polygon's, is one pass on P.  X is
+    F-contiguous, the layout the BLAS calls read without a copy.
     """
-    R = _cholesky(blas.dsyrk(1.0, X, trans=1))
+    P, C = X[:, :npoly], X[:, npoly:]
+    R = _cholesky(blas.dsyrk(1.0, P, trans=1))
     rcond, _ = lapack.dtrcon(R)
-    if rcond * ONE_PASS_COND >= 1.0:
+    if rcond * ONE_PASS_COND < 1.0:
+        R = _second_pass(P, R)
+    if C.shape[1] == 0:
         return R
-    # X R_1^-1 as a right-sided solve: OpenBLAS takes about two thirds of
-    # the time of the left-sided R_1^-T X^T
+    full = np.zeros((X.shape[1], X.shape[1]), order="F")
+    full[:npoly, :npoly] = R
+    for _ in range(2):
+        S = blas.dtrsm(1.0, R, blas.dgemm(1.0, P, C, trans_a=1), trans_a=1)
+        C = blas.dgemm(-1.0, P, blas.dtrsm(1.0, R, S), beta=1.0, c=C)
+        full[:npoly, npoly:] += S
+    full[npoly:, npoly:] = _second_pass(
+        C, _cholesky(blas.dsyrk(1.0, C, trans=1)))
+    return full
+
+
+def _second_pass(X, R):
+    """R_2 R for R_2 the Cholesky QR factor of X R^-1, the second pass of
+    CholeskyQR2 after X^T X = R^T R."""
+    # X R^-1 as a right-sided solve: OpenBLAS takes about two thirds of
+    # the time of the left-sided R^-T X^T
     Y = blas.dtrsm(1.0, R, X, side=1)
     return blas.dtrmm(1.0, _cholesky(blas.dsyrk(1.0, Y, trans=1)), R)
 
@@ -404,7 +434,7 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
             f"boundary quadrature under-resolved for degree {DEGREE}: "
             f"||A - A^T|| / ||A|| = {skew:.1e} > {ANTISYMMETRY_TOL:.0e} "
             f"with {len(nodes)} Gauss nodes on {len(v)} edges")
-    R = _r_factor(Xt.T)
+    R = _r_factor(Xt.T, npoly)
     rdiag = np.abs(np.diag(R))
     if rdiag.min() <= 1e-13 * rdiag.max():
         raise SolverFailure("boundary mass matrix singular on the harmonic "

@@ -417,7 +417,7 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "steklovmax.cli", "--mode", "benchmark-disk",
          "--out-dir", str(tmp_path)] + FAST,
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=with_src_path(os.environ))
     assert proc.returncode == 0
 
 

@@ -119,6 +119,20 @@ def test_options_validation():
     for name in ("restarts", "seed"):
         with pytest.raises(ValueError, match=name):
             OptimOptions(**{name: -1})
+    # the count fields take integers only: a float, even a whole one, or a
+    # bool would fail later inside the ascent
+    for name, bad in (("k", 1.5), ("n_angles", 100.0), ("max_iters", 2.5),
+                      ("restarts", 1.5), ("seed", 0.5), ("k", True),
+                      ("max_iters", np.float64(3.0))):
+        with pytest.raises(ValueError, match=name):
+            OptimOptions(**{name: bad})
+    for bad in (64.0, True, np.float64(64.0)):
+        with pytest.raises(ValueError, match="n_angles"):
+            AngleGrid(bad)
+    opts = OptimOptions(k=np.int64(2), n_angles=np.int32(64),
+                        max_iters=np.int64(3), restarts=np.int8(0),
+                        seed=np.uint16(1))
+    assert AngleGrid(opts.n_angles).theta.shape == (64,)
 
 
 def test_initial_mismatch_rejected():

@@ -149,22 +149,26 @@ def _captured(monkeypatch, name, b):
     return seen[0]
 
 
-@pytest.mark.parametrize("b, passes", [
-    pytest.param(convex_flat_start(), 1, id="convex-flat"),
+@pytest.mark.parametrize("b, corner_passes", [
+    pytest.param(convex_flat_start(), 0, id="convex-flat"),
+    pytest.param(nonconvex_flat_start(), 2, id="nonconvex-flat"),
+    pytest.param(wavy_boundary(), 2, id="wavy"),
     pytest.param(two_graph_boundary(), 2, id="two-graph")])
-def test_r_factor(monkeypatch, b, passes):
-    # polynomials alone (cond 2.3) take one Cholesky QR pass; the corner
-    # functions of the two-graph domain (cond 2.6e5) take two
-    X, = _captured(monkeypatch, "_r_factor", b)
-    calls = []
+def test_r_factor(monkeypatch, b, corner_passes):
+    # the polynomial block (cond 2..5) takes one Cholesky QR pass and the
+    # corner block (the two-graph basis has cond 2.6e5) two; a corner-free
+    # basis has no corner block
+    X, npoly = _captured(monkeypatch, "_r_factor", b)
+    npoly = int(npoly)
+    sizes = []
     real = trefftz.lapack.dpotrf
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(gram, **kwargs):
+        sizes.append(len(gram))
+        return real(gram, **kwargs)
     monkeypatch.setattr(trefftz.lapack, "dpotrf", counting)
-    R = trefftz._r_factor(X)
-    assert len(calls) == passes
+    R = trefftz._r_factor(X, npoly)
+    assert sizes == [npoly] + [X.shape[1] - npoly] * corner_passes
     assert np.array_equal(R, np.triu(R))
     gram = X.T @ X
     assert np.max(np.abs(R.T @ R - gram)) <= 1e-13 * np.max(np.abs(gram))
@@ -173,12 +177,31 @@ def test_r_factor(monkeypatch, b, passes):
         np.abs(ref))
 
 
+def test_corner_free_r_factor_is_one_cholesky_qr(monkeypatch):
+    # the convex ascent's factor is bit for bit one Cholesky QR pass
+    X, npoly = _captured(monkeypatch, "_r_factor", convex_flat_start())
+    assert X.shape[1] == npoly
+    one = trefftz._cholesky(trefftz.blas.dsyrk(1.0, X, trans=1))
+    assert np.array_equal(trefftz._r_factor(X, int(npoly)), one)
+
+
 def test_r_factor_singular_raises():
-    # a duplicated column: with orthogonal columns of norm 2 the Gram
-    # matrix's second Cholesky pivot is exactly 0
-    X = np.ascontiguousarray(2.0 * np.eye(8, 4)[:, [0, 1, 1, 2]])
-    with pytest.raises(SolverFailure, match="boundary mass matrix"):
-        trefftz._r_factor(X)
+    # a duplicated column among orthogonal columns of norm 2, with the first
+    # three columns polynomial: the Cholesky pivot of the polynomial block,
+    # or of the projected corner block, is exactly 0
+    for duplicated in ([0, 1, 1, 2, 3], [0, 1, 2, 3, 3]):
+        X = np.asfortranarray(2.0 * np.eye(8, 4)[:, duplicated])
+        with pytest.raises(SolverFailure, match="boundary mass matrix"):
+            trefftz._r_factor(X, 3)
+
+
+@pytest.mark.parametrize("b", SHAPES)
+def test_eigenvalues_match_householder_factor(monkeypatch, b):
+    block = solve_harmonic(b, M).eigenvalues
+    monkeypatch.setattr(trefftz, "_r_factor",
+                        lambda X, npoly: np.linalg.qr(X, mode="r"))
+    ref = solve_harmonic(b, M).eigenvalues
+    assert np.allclose(block, ref, rtol=1e-12, atol=1e-13)
 
 
 def test_one_and_two_pass_agree(monkeypatch):
