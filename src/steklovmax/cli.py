@@ -212,6 +212,9 @@ def _initial_graphs(cfg):
     def parse(path):
         p, q = np.loadtxt(path, delimiter=",", ndmin=2, usecols=(0, 1),
                           unpack=True)
+        if len(p) != cfg.n_angles // 2:
+            raise ValueError(f"{len(p)} rows where n_angles "
+                             f"{cfg.n_angles} asks for {cfg.n_angles // 2}")
         return GraphPair(p, q, cfg.diameter)
     return _read_initial(cfg, parse)
 
@@ -228,10 +231,6 @@ def _write_json(path, payload):
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, default=_json_default, sort_keys=True)
         f.write("\n")
-
-
-def _diameter_pairs(rep):
-    return [[int(i), int(j)] for i, j in rep.pairs]
 
 
 def _best_objective(state):
@@ -291,7 +290,7 @@ def _run_optimize(cfg, start):
         "objective": _best_objective(state),
         "eigenvalues": state.eigenvalues,
         "diameter": state.diameter.diameter,
-        "diameter_pairs": _diameter_pairs(state.diameter),
+        "diameter_pairs": state.diameter.pairs,
         "history": state.objective_history,
         "iterations": state.iterations,
         "converged": state.converged,
@@ -310,7 +309,7 @@ def _run_spectrum(cfg, b):
         "objective": float(spec.eigenvalues[cfg.k]) * rep.diameter,
         "eigenvalues": spec.eigenvalues,
         "diameter": rep.diameter,
-        "diameter_pairs": _diameter_pairs(rep),
+        "diameter_pairs": rep.pairs,
     }
 
 

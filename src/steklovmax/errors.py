@@ -6,7 +6,7 @@ class SteklovMaxError(Exception):
 
 
 class DegenerateBoundary(SteklovMaxError):
-    """Boundary polyline has coincident consecutive vertices or too few points."""
+    """Boundary polyline has coincident consecutive vertices."""
 
 
 class SelfIntersection(SteklovMaxError):

@@ -156,9 +156,9 @@ def _boundary_samples(space: FEMSpace, y, sigma) -> BoundarySamples:
     """Traces y (boundary dofs x eigenfunctions) at the 3-point Gauss
     nodes of every boundary segment, placed on the polyline's edges.
 
-    The segment's polyline edge and the node's position along it come from
-    the arclengths of the boundary loop and of the mesh vertices holding
-    the polyline vertices.
+    Segment i lies on polyline edge j where boundary_vertex_map[j] <= i <
+    boundary_vertex_map[j + 1]; the node's position along that edge comes
+    from the arclengths of the boundary loop.
     """
     mesh = space.mesh
     pts = mesh.vertices[mesh.boundary_loop]
@@ -174,21 +174,18 @@ def _boundary_samples(space: FEMSpace, y, sigma) -> BoundarySamples:
           / L[:, None, None]).reshape(-1, y.shape[1])
 
     arcs = mesh.boundary_arclengths()
-    total = float(arcs[-1] + L[-1])
-    arcs_v = arcs[mesh.boundary_vertex_map]
-    arcs_ext = np.concatenate([arcs_v, [arcs_v[0] + total]])
-    edge = np.searchsorted(arcs_v, arcs + 1e-12 * max(total, 1.0),
-                           side="right") - 1
-    edge = np.clip(edge, 0, len(arcs_v) - 1)
-    span = arcs_ext[edge + 1] - arcs_ext[edge]
-    span = np.where(span < 1e-300, 1.0, span)
+    bvm = mesh.boundary_vertex_map
+    edge = np.searchsorted(bvm, np.arange(len(L)), side="right") - 1
+    # arclength at each polyline vertex, and at vertex 0 again at the end
+    arcs_v = np.append(arcs[bvm], arcs[-1] + L[-1])
+    span = arcs_v[edge + 1] - arcs_v[edge]
     at = arcs[:, None] + _G1[None, :] * L[:, None]
-    lam = (at - arcs_ext[edge][:, None]) / span[:, None]
+    lam = (at - arcs_v[edge][:, None]) / span[:, None]
     m = y.shape[1]
     return BoundarySamples(edge=np.repeat(edge, len(_G1)), lam=lam.ravel(),
                            weight=np.outer(L, _W1).ravel(), u=u, ut=ut,
                            un=u * sigma,
-                           basis_motion=np.zeros((m, m, len(arcs_v), 2)))
+                           basis_motion=np.zeros((m, m, len(bvm), 2)))
 
 
 def solve_spectrum(space: FEMSpace, K, B, m: int) -> SteklovSpectrum:

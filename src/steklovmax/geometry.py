@@ -60,7 +60,8 @@ class SupportVector:
 
 @dataclass(frozen=True)
 class BoundaryPolyline:
-    """Closed counterclockwise vertex loop (the closing edge is implicit)."""
+    """Closed vertex loop of either orientation (the closing edge is
+    implicit); the loops this package builds are counterclockwise."""
 
     vertices: np.ndarray
 

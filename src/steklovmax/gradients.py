@@ -55,13 +55,15 @@ def cluster_indices(spec, k, cluster_tol=CLUSTER_TOL):
 
 
 def _edge_frames(b: BoundaryPolyline):
-    """Unit tangent and outward normal of every polyline edge."""
+    """Unit tangent and outward normal of every polyline edge, for a loop
+    of either orientation: the normal is the tangent turned clockwise on
+    a counterclockwise loop, counterclockwise on a clockwise one."""
     v = b.vertices
     e = np.roll(v, -1, axis=0) - v
     el = np.linalg.norm(e, axis=1)
-    safe = np.where(el < 1e-300, 1.0, el)
-    tau = e / safe[:, None]
-    nrm = np.column_stack([tau[:, 1], -tau[:, 0]])
+    tau = e / el[:, None]
+    orient = 1.0 if b.area() > 0 else -1.0
+    nrm = orient * np.column_stack([tau[:, 1], -tau[:, 0]])
     return tau, nrm, el
 
 

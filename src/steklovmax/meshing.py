@@ -18,15 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
-from .errors import DegenerateBoundary, MeshFailure
+from .errors import MeshFailure
 from .geometry import BoundaryPolyline, check_simple
 
 MIN_ANGLE_DEG = 20.0
 VERTEX_BUDGET = 50000
-# consecutive polyline vertices closer than this fraction of target_h are
-# collapsed to one mesh vertex (support-function boundaries crowd vertices
-# where the convexity constraint saturates)
-MERGE_FRAC = 1e-3
+# the shortest feature, as a fraction of target_h: boundary segments no
+# longer than this are not split for encroachment, and triangles whose
+# shortest edge is no longer than this are exempt from the quality targets,
+# so that polyline vertices closer than that still mesh
+MIN_FEATURE_FRAC = 2e-3
 
 
 def points_in_polygon(points, poly):
@@ -106,8 +107,8 @@ class TriangleMesh:
 
     boundary_loop is the ordered list of mesh vertex indices around the
     boundary; boundary_edges pairs consecutive loop entries.
-    boundary_vertex_map[i] is the mesh vertex holding polyline vertex i
-    (many-to-one where near-duplicate polyline vertices were collapsed).
+    boundary_vertex_map[i] is the mesh vertex holding polyline vertex i;
+    it is strictly increasing.
     """
 
     vertices: np.ndarray
@@ -179,27 +180,6 @@ def _circumcenters(verts, tris):
     ux = (ac[:, 1] * ab2 - ab[:, 1] * ac2) / d
     uy = (ab[:, 0] * ac2 - ac[:, 0] * ab2) / d
     return a + np.column_stack((ux, uy))
-
-
-def _merge_close_vertices(verts, tol):
-    """Collapse runs of consecutive near-duplicate vertices; returns
-    (unique_vertices, map from original index to unique index)."""
-    n = len(verts)
-    keep = [0]
-    vmap = np.zeros(n, dtype=int)
-    for i in range(1, n):
-        if np.linalg.norm(verts[i] - verts[keep[-1]]) <= tol:
-            vmap[i] = len(keep) - 1
-        else:
-            keep.append(i)
-            vmap[i] = len(keep) - 1
-    # wrap-around: last run may merge into vertex 0
-    while len(keep) > 3 and np.linalg.norm(verts[keep[-1]] - verts[0]) <= tol:
-        keep.pop()
-        vmap[vmap == len(keep)] = 0
-    if len(keep) < 3:
-        raise DegenerateBoundary("boundary collapses under merge tolerance")
-    return verts[keep], vmap
 
 
 def _subdivide_chain(verts, target_h):
@@ -290,24 +270,24 @@ def _boundary_is_chain(tris, nb, n):
 def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
     """Quality triangulation of the polygon interior.
 
-    Boundary polyline vertices are preserved as mesh vertices (modulo
-    collapsing of near-duplicate runs); extra boundary nodes are inserted
-    on long edges and wherever refinement splits an encroached segment.
-    Every triangle meets MIN_ANGLE_DEG and target_h, or has its shortest
-    edge at merge scale; otherwise MeshFailure is raised.
+    Every boundary polyline vertex is a mesh vertex, each its own; extra
+    boundary nodes are inserted on long edges and wherever refinement
+    splits an encroached segment.  Every triangle meets MIN_ANGLE_DEG and
+    target_h, or has its shortest edge at most MIN_FEATURE_FRAC * target_h;
+    otherwise MeshFailure is raised.  A polygon that is not simple raises
+    SelfIntersection.
     """
     if target_h <= 0:
         raise ValueError("target_h must be positive")
     check_simple(b)
-    merge_tol = MERGE_FRAC * target_h
-    poly, vmap0 = _merge_close_vertices(b.vertices, merge_tol)
+    poly = b.vertices
 
     bnd, original = _subdivide_chain(poly, target_h)
     spacing = 0.68 * target_h
     interior = _hex_seeds(poly, spacing, clearance_test(poly, 0.6 * spacing))
 
     # protect very short boundary segments from further splitting
-    min_split = 2.0 * merge_tol
+    min_split = MIN_FEATURE_FRAC * target_h
     min_angle = np.radians(MIN_ANGLE_DEG)
 
     def delaunay_inside(pts, simp):
@@ -355,8 +335,7 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
                 # quality pass
                 angles, emax, emin = _triangle_quality(pts, keep)
                 bad = (angles < min_angle) | (emax > target_h)
-                # skip triangles whose smallest feature is already at merge
-                # scale
+                # exempt triangles whose shortest edge is a shortest feature
                 bad &= emin > min_split
                 if not bad.any():
                     break
@@ -415,9 +394,7 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
     if not _boundary_is_chain(tris, nb, len(pts)):
         raise MeshFailure("boundary of triangulation is not the chain")
 
-    # chain positions of merged polyline vertices; vmap0 maps each
-    # polyline vertex to its merged vertex
-    bvm = np.nonzero(original)[0][vmap0]
     return TriangleMesh(vertices=pts[order], triangles=tris,
-                        boundary_loop=np.arange(nb), boundary_vertex_map=bvm,
+                        boundary_loop=np.arange(nb),
+                        boundary_vertex_map=np.nonzero(original)[0],
                         target_h=target_h)

@@ -300,10 +300,13 @@ def ascend_nonconvex(initial: GraphPair, opts: OptimOptions,
 
     Constraints are only the ordering p_i <= q_i (with a small gap against
     boundary pinch-off) and the |.| <= d/2 box; the diameter constraint is
-    verified post hoc on the returned optimum.
+    verified post hoc on the returned optimum.  The initial graphs take
+    n_angles // 2 values each over [-d/2, d/2], d the diameter.
     """
     n = initial.n
     d = opts.diameter
+    if n != opts.n_angles // 2 or initial.d != d:
+        raise ValueError("initial graphs do not match n_angles and diameter")
     gap = opts.graph_gap_factor * d
 
     def unpack(x):

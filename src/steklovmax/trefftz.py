@@ -27,7 +27,7 @@ re-entrant corners (gamma < 1, unbounded gradient): on a wiggly two-graph
 domain they leave sigma_1 2.7e-2 too high at degree 45, a bias an ascent
 would exploit by sharpening such corners.  So every re-entrant corner,
 and every convex one turning by CONVEX_MIN_TURN..CONVEX_MAX_TURN, adds
-Im (w^gamma - w^n) / (gamma - n), w the corner-centred coordinate with
+Im (w^gamma - w) / (gamma - 1), w the corner-centred coordinate with
 its branch cut along the exterior bisector, and the edges at such a
 corner carry Gauss rules graded towards it.  (A cut that crosses the
 polygon elsewhere breaks Green's identity, and the antisymmetry guard
@@ -212,34 +212,32 @@ def _arnoldi(zeta, w):
 
 def _corners(z, dz, orient):
     """Vertices that get a corner function: flags per vertex, indices, and
-    per corner gamma = pi / alpha, the integer n nearest gamma (1, or 0
-    past a re-entrant turn of 90 degrees) and the unit complex direction
-    of the interior bisector."""
+    per corner gamma = pi / alpha (above 1/2, as a turn lies in (-pi, pi])
+    and the unit complex direction of the interior bisector."""
     turn = orient * np.angle(dz / np.roll(dz, 1))
     graded = (turn < -REENTRANT_MIN_TURN) | (
         (turn > CONVEX_MIN_TURN) & (turn <= CONVEX_MAX_TURN))
     at = np.flatnonzero(graded)
     gamma = np.pi / (np.pi - turn[at])
-    n = (gamma >= 0.5).astype(float)
     bisector = dz[at] / np.abs(dz[at]) * np.exp(
         0.5j * orient * (np.pi - turn[at]))
-    return graded, at, gamma, n, bisector
+    return graded, at, gamma, bisector
 
 
-def _corner_blocks(nodes, zc, gamma, n, rho):
-    """f_c = (w^gamma - w^n) / (gamma - n) at the nodes, for blocks of
+def _corner_blocks(nodes, zc, gamma, rho):
+    """f_c = (w^gamma - w) / (gamma - 1) at the nodes, for blocks of
     CORNER_BLOCK corners, with w = (z - z_c) rho on the principal branch,
     which puts the cut on the exterior bisector when rho is 1 over the
     interior bisector's direction (times a length scale).
 
-    Yields (cols, log w, w^gamma, w^n, f, f') with complex arrays of
+    Yields (cols, w, log w, w^gamma, f, f') with complex arrays of
     one column per corner of the block cols.  The basis function is
-    Im f_c; subtracting the polynomial w^n keeps it well conditioned as
-    gamma nears n (f_c -> w^n log w).  Blocks bound the memory.
+    Im f_c; subtracting the polynomial w keeps it well conditioned as
+    gamma nears 1 (f_c -> w log w).  Blocks bound the memory.
     """
     for lo in range(0, len(zc), CORNER_BLOCK):
         cols = slice(lo, lo + CORNER_BLOCK)
-        g, nn = gamma[cols], n[cols]
+        g = gamma[cols]
         w = (nodes[:, None] - zc[cols]) * rho[cols]
         # log w and w^(gamma - 1) through real parts: numpy's complex log
         # and exp take three times as long
@@ -252,9 +250,8 @@ def _corner_blocks(nodes, zc, gamma, n, rho):
         e.real = mag * np.cos(arg)
         e.imag = mag * np.sin(arg)
         wg = w * e
-        wn = np.where(nn == 1.0, w, 1.0)
-        eps = g - nn
-        yield cols, logw, wg, wn, (wg - wn) / eps, (g * e - nn) / eps
+        eps = g - 1.0
+        yield cols, w, logw, wg, (wg - w) / eps, (g * e - 1.0) / eps
 
 
 def _r_factor(X, npoly):
@@ -331,7 +328,7 @@ def _samples(edge, lam, w, u, un, ut, nodes, tau, corners, coef, sigma,
     mean eigenvalue, by Green's identity for the harmonic d u; the
     polynomial span is invariant, and so is the span under the scale of w.
     """
-    at, zc, gamma, n, rho = corners
+    at, zc, gamma, rho = corners
     nv, nm = len(dz), len(sigma)
     W = np.zeros((nv, 2, nm, nm))
     ut = ut.copy()
@@ -339,14 +336,14 @@ def _samples(edge, lam, w, u, un, ut, nodes, tau, corners, coef, sigma,
     wu = w[:, None] * u
     K = np.empty((4, len(at), nm))
     L = np.empty((4, len(at), nm))
-    for cols, logw, wg, wn, f, df in _corner_blocks(nodes, zc, gamma, n, rho):
+    for cols, w_c, logw, wg, f, df in _corner_blocks(nodes, zc, gamma, rho):
         g = gamma[cols]
         ut += (df * (rho[cols] * tau[:, None])).imag @ coef[cols]
         ddz = -df * rho[cols]                           # d f / d z_c
         for p, fn in enumerate((
                 ddz.imag, ddz.real,                     # d / d (x_c, y_c)
-                -(g * f + wn).real,                     # d / d bisector
-                ((wg * logw - f) / (g - n[cols])).imag)):  # d / d gamma
+                -(g * f + w_c).real,                    # d / d bisector
+                ((wg * logw - f) / (g - 1.0)).imag)):   # d / d gamma
             K[p, cols] = fn.T @ wr
             L[p, cols] = fn.T @ wu
     half_gap = 0.5 * (sigma[None, :] - sigma[:, None])      # [a, b]
@@ -390,7 +387,7 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
     dz = np.roll(z, -1) - z
     ell = np.abs(dz)
     tau = dz / ell
-    graded, at, gamma, n, bisector = _corners(z, dz, orient)
+    graded, at, gamma, bisector = _corners(z, dz, orient)
     npoly = 2 * DEGREE + 1
     nbasis = npoly + len(at)
     if m + 1 > nbasis:
@@ -401,7 +398,7 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
     tau_q = tau[edge]
     center = z.mean()
     scale = np.max(np.abs(z - center))
-    corners = (at, z[at], gamma, n, 1.0 / (bisector * scale))
+    corners = (at, z[at], gamma, 1.0 / (bisector * scale))
     # Xt and Xnt hold, one row per function, the basis Re q_0, Re q_1..q_M,
     # Im q_1..q_M and the corner functions, and their outward normal
     # derivatives, times the square roots of the weights.  Along a unit
@@ -422,7 +419,7 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
     for cols, _, _, _, f, df in _corner_blocks(nodes, *corners[1:]):
         rows = slice(npoly + cols.start, npoly + cols.stop)
         Xt[rows] = f.imag.T * root
-        Xnt[rows] = (df * (corners[4][cols] * tau_q[:, None])).real.T * (
+        Xnt[rows] = (df * (corners[3][cols] * tau_q[:, None])).real.T * (
             -orient * root)
     A = Xt @ Xnt.T
     # a NaN or inf anywhere in Xt or Xnt makes skew NaN, which fails this

@@ -119,23 +119,37 @@ def test_bad_k_list_runs_nothing(tmp_path, ks):
     ["--initial=file:{tmp}/short.csv", "--mode", "optimize-nonconvex"],
     ["--initial=file:{tmp}/nan.csv", "--mode", "spectrum"],
     ["--initial=file:{tmp}/nan.csv", "--mode", "optimize-nonconvex"],
+    ["--initial=file:{tmp}/graphs30.csv", "--mode", "optimize-nonconvex"],
     ["--diameter", "nan"],
     ["--diameter", "inf"],
 ], ids=["max-iters-0", "negative-seed", "missing-support-file",
         "missing-graphs-file", "missing-shape-file", "short-support-file",
         "one-column-graphs-file", "nan-shape-file", "nan-graphs-file",
-        "nan-diameter", "inf-diameter"])
+        "wrong-length-graphs-file", "nan-diameter", "inf-diameter"])
 def test_exit_code_bad_input(tmp_path, args):
     # short.csv holds 10 support values where --n-angles asks for 100, and
     # one column where a graphs file needs two; nan.csv, read as a
-    # boundary or as graphs p <= q, is valid but for one nan value
+    # boundary or as graphs p <= q, is valid but for one nan value;
+    # graphs30.csv holds 30 graph values where --n-angles asks for 50
     np.savetxt(tmp_path / "short.csv", np.ones(10), delimiter=",")
+    np.savetxt(tmp_path / "graphs30.csv", np.tile([-0.1, 0.1], (30, 1)),
+               delimiter=",")
     np.savetxt(tmp_path / "nan.csv", [[-0.5, -0.4], [0.5, np.nan],
                                       [-0.5, 0.4]], delimiter=",")
     argv = [a.format(tmp=tmp_path) for a in args]
     assert main(argv + ["--out-dir", str(tmp_path / "out")] + FAST) == 3
     # the start shape is read before the output directory is made
     assert not (tmp_path / "out").exists()
+
+
+def test_exit_code_solver_error(tmp_path, capsys):
+    # a bow tie is a valid vertex loop that the solver refuses
+    path = tmp_path / "bow.csv"
+    np.savetxt(path, [[0, 0], [1, 1], [1, 0], [0, 1]], delimiter=",")
+    assert main(["--mode", "spectrum", f"--initial=file:{path}",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "solver error [SelfIntersection]: edges 0 and 2 intersect\n")
 
 
 @pytest.mark.parametrize("flag,code", [("--help", 0), ("--no-such-flag", 3)])

@@ -1,6 +1,7 @@
 """Shape derivatives: finite-difference oracles and analytic identities."""
 
 import numpy as np
+import pytest
 
 from steklovmax import (AngleGrid, SupportVector, cluster_indices,
                         graph_gradient, reconstruct_boundary,
@@ -8,8 +9,8 @@ from steklovmax import (AngleGrid, SupportVector, cluster_indices,
 from steklovmax.geometry import BoundaryPolyline
 from steklovmax.gradients import _pair_weights
 from steklovmax.graphs import GraphPair
-from conftest import (disk_boundary, fem_spectrum, solve_boundary,
-                      vertex_derivative, vertex_normals)
+from conftest import (disk_boundary, ellipse_boundary, fem_spectrum,
+                      solve_boundary, vertex_derivative, vertex_normals)
 
 FD_STEP = 1e-5
 
@@ -59,6 +60,21 @@ def test_shape_derivative_matches_fd_random_directions(ellipse_case):
         moved = BoundaryPolyline(b.vertices + FD_STEP * field)
         fd = (sigma(moved) - float(spec.eigenvalues[1])) / FD_STEP
         assert abs(d - fd) < 3e-2 * max(abs(fd), 0.1)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda b: solve_boundary(b, 4), lambda b: fem_spectrum(b, 0.1, 4)],
+    ids=["harmonic", "fem"])
+def test_shape_derivative_either_orientation(solve):
+    # the same velocity field on the ellipse walked clockwise: the outward
+    # normal is then the tangent turned counterclockwise
+    b = ellipse_boundary(100)
+    scale = 1.0 + 0.3 * np.cos(np.arange(len(b)))
+    field = vertex_normals(b) * scale[:, None]
+    ccw = vertex_derivative(solve(b), 1, b, field)
+    cw = BoundaryPolyline(b.vertices[::-1])
+    assert np.isclose(vertex_derivative(solve(cw), 1, cw, field[::-1]), ccw,
+                      rtol=1e-10, atol=0)
 
 
 def test_cluster_indices_disk():

@@ -12,12 +12,11 @@ from steklovmax import (AngleGrid, OptimOptions, SupportVector,
 from steklovmax.errors import MeshFailure, SelfIntersection
 from steklovmax.geometry import BoundaryPolyline, _segments_cross, check_simple
 from steklovmax.graphs import GraphPair
-from steklovmax.meshing import (MERGE_FRAC, _boundary_is_chain,
-                                _merge_close_vertices, _subdivide_chain,
-                                _triangle_quality, clearance_test,
-                                points_in_polygon)
-from conftest import (convex_flat_start, disk_boundary, nonconvex_flat_start,
-                      two_graph_boundary, wavy_boundary)
+from steklovmax.meshing import (MIN_FEATURE_FRAC, _boundary_is_chain,
+                                _subdivide_chain, _triangle_quality,
+                                clearance_test, points_in_polygon)
+from conftest import (convex_flat_start, disk_boundary, fem_spectrum,
+                      nonconvex_flat_start, two_graph_boundary, wavy_boundary)
 
 
 def ellipse(n=100, a=1.0, b=0.6):
@@ -54,15 +53,48 @@ def test_mesh_quality_invariants(name, b, h):
 @pytest.mark.parametrize("name,b,h", CASES, ids=[c[0] for c in CASES])
 def test_boundary_vertex_map(name, b, h):
     mesh = triangulate(b, h)
-    mapped = mesh.vertices[mesh.boundary_vertex_map]
-    err = np.linalg.norm(mapped - b.vertices, axis=1)
-    # merged near-duplicate runs may shift by the merge tolerance
-    assert err.max() <= 1e-3 * h + 1e-12
+    assert np.array_equal(mesh.vertices[mesh.boundary_vertex_map],
+                          b.vertices)
     # the final renumbering puts the boundary nodes first, in chain order,
-    # so the polyline vertices map to non-decreasing mesh vertices
+    # so the polyline vertices map to increasing mesh vertices
     nb = len(mesh.boundary_loop)
     assert np.array_equal(mesh.boundary_loop, np.arange(nb))
-    assert np.all(np.diff(mesh.boundary_vertex_map) >= 0)
+    assert np.all(np.diff(mesh.boundary_vertex_map) > 0)
+
+
+def crowded_ellipse(gap, at):
+    """ellipse() with one more vertex on edge at, gap before its second
+    end; at = -1 puts it on the closing edge, gap before vertex 0."""
+    v = ellipse().vertices
+    a, b = v[at], v[(at + 1) % len(v)]
+    extra = b - gap * (b - a) / np.linalg.norm(b - a)
+    return BoundaryPolyline(np.insert(v, at % len(v) + 1, extra, axis=0))
+
+
+@pytest.mark.parametrize("h", [0.1, 0.035])
+@pytest.mark.parametrize("frac,at", [(1e-6, 10), (1e-5, -1)],
+                         ids=["inside", "across-wrap"])
+def test_crowded_polyline_meshes(h, frac, at):
+    # a vertex far closer to its neighbour than any target edge length is
+    # kept as its own mesh vertex; the triangles at it are exempt from the
+    # quality targets as shortest features
+    b = crowded_ellipse(frac * h, at)
+    mesh = triangulate(b, h)
+    assert np.array_equal(mesh.vertices[mesh.boundary_vertex_map],
+                          b.vertices)
+    assert np.all(np.diff(mesh.boundary_vertex_map) > 0)
+    areas = mesh.triangle_areas()
+    assert np.all(areas > 0)
+    assert np.isclose(areas.sum(), abs(b.area()), rtol=1e-9)
+    angles, emax, emin = _triangle_quality(mesh.vertices, mesh.triangles)
+    exempt = emin <= MIN_FEATURE_FRAC * h
+    assert exempt.any()
+    assert np.all(exempt | ((angles >= np.radians(meshing.MIN_ANGLE_DEG))
+                            & (emax <= h)))
+    # the extra vertex lies on an edge, so the polygon is the same
+    got = fem_spectrum(b, h, 4).eigenvalues[1:]
+    clean = fem_spectrum(ellipse(), h, 4).eigenvalues[1:]
+    assert np.allclose(got, clean, rtol=1e-8, atol=0)
 
 
 def test_boundary_loop_closed_and_on_boundary():
@@ -271,8 +303,7 @@ def test_delaunay_calls_per_mesh(monkeypatch):
 def fresh_inside_triangles(b, mesh):
     """Sorted index triples of the triangles of a fresh Delaunay of the
     mesh vertices that the mesher keeps: not slivers, centroid inside the
-    merged polygon."""
-    poly, _ = _merge_close_vertices(b.vertices, MERGE_FRAC * mesh.target_h)
+    polygon."""
     pts = mesh.vertices
     simp = Delaunay(pts).simplices
     e1 = pts[simp[:, 1]] - pts[simp[:, 0]]
@@ -280,7 +311,7 @@ def fresh_inside_triangles(b, mesh):
     cr = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     sq = np.maximum(np.sum(e1**2, axis=1), np.sum(e2**2, axis=1))
     simp = simp[np.abs(cr) > 1e-12 * sq]
-    simp = simp[points_in_polygon(pts[simp].mean(axis=1), poly)]
+    simp = simp[points_in_polygon(pts[simp].mean(axis=1), b.vertices)]
     return {tuple(t) for t in np.sort(simp, axis=1)}
 
 

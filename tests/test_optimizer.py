@@ -5,9 +5,9 @@ import ast
 import numpy as np
 import pytest
 
-from steklovmax import (AngleGrid, OptimOptions, SupportVector, ascend,
-                        ascend_nonconvex, build_constraint_set, disk_graphs,
-                        disk_support)
+from steklovmax import (AngleGrid, GraphPair, OptimOptions, SupportVector,
+                        ascend, ascend_nonconvex, build_constraint_set,
+                        disk_graphs, disk_support)
 import steklovmax
 from steklovmax import fem, meshing, optimize
 from steklovmax.errors import NoAscent, ProjectionFailure, SolverFailure
@@ -140,6 +140,13 @@ def test_initial_mismatch_rejected():
     wrong = SupportVector(AngleGrid(40), np.ones(40))
     with pytest.raises(ValueError):
         ascend(wrong, opts)
+    # graphs of another length, or over another diameter, which the ascent
+    # would silently move to its own abscissae
+    gp = disk_graphs(opts)
+    for bad in (disk_graphs(OptimOptions(n_angles=40)),
+                GraphPair(gp.p, gp.q, 3.0)):
+        with pytest.raises(ValueError, match="initial graphs"):
+            ascend_nonconvex(bad, opts)
 
 
 def test_determinism_same_seed():
