@@ -1,9 +1,11 @@
 """Command-line front end: configuration parsing, run modes, artifacts.
 
-Artifacts per run: result.json (structured results), shape.csv / shape.svg
-(final boundary), spectrum.csv (eigenvalues), history.csv
-(objective per accepted iterate).  Exit codes: 0 success, 2 solver failure,
-3 configuration error.
+Artifacts per run: result.json (structured results), timing.json (wall
+time and BLAS thread settings), shape.csv / shape.svg (final boundary),
+spectrum.csv (eigenvalues), history.csv (objective per accepted
+iterate).  Each mode only computes; run writes every file, after the
+computation, so a failed run leaves nothing.  Exit codes: 0 success,
+2 solver failure, 3 configuration error.
 """
 
 import argparse
@@ -28,24 +30,8 @@ from .optimize import (OptimOptions, ascend, ascend_nonconvex, disk_graphs,
 # the OptimOptions fields a run leaves at their defaults: no flag, config
 # key or result.json entry names them
 UNSET = ("restarts", "mesh_h_factor")
-# the options each mode reads besides mode and out_dir; a run refuses any
-# other option, which it would ignore yet record in result.json.  A mode
-# reads an option if any of its paths does (spectrum reads n_angles and
-# diameter, which a file: start leaves unused), and
-# experiment:multiplicity reads initial only at k = 1: at k >= 2 it starts
-# from the flat ellipse.
 _EVERY = ("k", "n_angles", "diameter", "max_iters", "tol", "seed",
           "verbose", "initial")
-READS = {
-    "optimize-convex": _EVERY,
-    "optimize-nonconvex": _EVERY,
-    "spectrum": ("k", "n_angles", "diameter", "initial"),
-    "experiment:slope": ("n_angles",),
-    "experiment:bound": ("k", "n_angles", "diameter"),
-    "experiment:multiplicity": _EVERY,
-    "benchmark-disk": ("n_angles", "diameter"),
-}
-MODES = tuple(READS)
 
 
 @dataclass(frozen=True)
@@ -132,7 +118,7 @@ def _build_argparser():
 def _ignored(values):
     """The given options that the run's mode does not read."""
     mode = values.get("mode", RunConfig.mode)
-    reads = READS.get(mode, _EVERY)
+    reads = MODES[mode][0] if mode in MODES else _EVERY
     if mode == "experiment:multiplicity" and \
             values.get("k", RunConfig.k) >= 2:
         reads = tuple(key for key in reads if key != "initial")
@@ -233,16 +219,6 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _best_objective(state):
-    """sigma_k * D of the best iterate, the shape the run reports."""
-    return max(state.objective_history)
-
-
-def _emit_shape(out, b: BoundaryPolyline):
-    b.to_csv(os.path.join(out, "shape.csv"))
-    b.to_svg(os.path.join(out, "shape.svg"))
-
-
 def _write_series(path, values, header=""):
     """values as index,value rows, after a header line when one is given."""
     rows = np.column_stack([np.arange(len(values)), values])
@@ -250,44 +226,13 @@ def _write_series(path, values, header=""):
                header=header, comments="")
 
 
-def _emit_spectrum(out, b: BoundaryPolyline, m):
-    spec = solve_boundary(b, m)
-    _write_series(os.path.join(out, "spectrum.csv"), spec.eigenvalues)
-    return spec
-
-
-def _start(cfg):
-    """The run's start shape, None for a mode that takes none.  run reads
-    it before it makes the output directory, so that a bad file: start
-    leaves nothing behind."""
-    if cfg.mode == "optimize-convex":
-        return _initial_support(cfg)
-    if cfg.mode == "optimize-nonconvex":
-        return _initial_graphs(cfg)
-    if cfg.mode == "spectrum":
-        if cfg.initial.startswith("file:"):
-            return _read_initial(cfg, BoundaryPolyline.from_csv)
-        return reconstruct_boundary(_initial_support(cfg))
-    if cfg.mode == "experiment:multiplicity":
-        return _initial_support(cfg) if cfg.k == 1 else _flat_support(cfg)
-    return None
-
-
-def _run_optimize(cfg, start):
-    if cfg.mode == "optimize-convex":
-        state = ascend(start, cfg)
-        variables = {"support": state.variables.p}
-    else:
-        state = ascend_nonconvex(start, cfg)
-        variables = {"graphs": {"p": state.variables.p,
-                                "q": state.variables.q}}
-    _emit_shape(cfg.out_dir, state.boundary)
-    spec = _emit_spectrum(cfg.out_dir, state.boundary, max(cfg.k + 3, 9))
-    _write_series(os.path.join(cfg.out_dir, "history.csv"),
-                  state.objective_history, "iteration,objective")
+def _optimized(cfg, state, variables):
+    """An ascent's result, with its best shape's spectrum solved again."""
+    spec = solve_boundary(state.boundary, max(cfg.k + 3, 9))
     return {
         **variables,
-        "objective": _best_objective(state),
+        # sigma_k * D of the best iterate, the shape the run reports
+        "objective": max(state.objective_history),
         "eigenvalues": state.eigenvalues,
         "diameter": state.diameter.diameter,
         "diameter_pairs": state.diameter.pairs,
@@ -298,25 +243,37 @@ def _run_optimize(cfg, start):
         "active_rows": state.active_rows,
         "multiplicity": multiplicity_report(state, cfg.k),
         "bound_check": check_bound(state.boundary, spec, cfg.k),
-    }
+    }, state.boundary, spec.eigenvalues
 
 
-def _run_spectrum(cfg, b):
-    spec = _emit_spectrum(cfg.out_dir, b, max(cfg.k + 3, 9))
-    _emit_shape(cfg.out_dir, b)
+def _optimize_convex(cfg):
+    state = ascend(_initial_support(cfg), cfg)
+    return _optimized(cfg, state, {"support": state.variables.p})
+
+
+def _optimize_nonconvex(cfg):
+    state = ascend_nonconvex(_initial_graphs(cfg), cfg)
+    return _optimized(cfg, state, {"graphs": {"p": state.variables.p,
+                                              "q": state.variables.q}})
+
+
+def _spectrum(cfg):
+    b = (_read_initial(cfg, BoundaryPolyline.from_csv)
+         if cfg.initial.startswith("file:")
+         else reconstruct_boundary(_initial_support(cfg)))
+    spec = solve_boundary(b, max(cfg.k + 3, 9))
     rep = compute_diameter(b)
     return {
         "objective": float(spec.eigenvalues[cfg.k]) * rep.diameter,
         "eigenvalues": spec.eigenvalues,
         "diameter": rep.diameter,
         "diameter_pairs": rep.pairs,
-    }
+    }, b, spec.eigenvalues
 
 
-def _run_benchmark_disk(cfg):
+def _benchmark_disk(cfg):
     b = reconstruct_boundary(disk_support(cfg))
-    spec = _emit_spectrum(cfg.out_dir, b, 9)
-    _emit_shape(cfg.out_dir, b)
+    spec = solve_boundary(b, 9)
     analytic = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4], dtype=float)
     measured = np.asarray(spec.eigenvalues[:9]) * (cfg.diameter / 2.0)
     err = np.abs(measured[1:] - analytic[1:]) / analytic[1:]
@@ -326,44 +283,67 @@ def _run_benchmark_disk(cfg):
         "analytic": analytic,
         "max_rel_error": float(err.max()),
         "passed": bool(err.max() < 5e-3),
-    }
+    }, b, spec.eigenvalues
 
 
-def _run_experiment(cfg, start):
-    name = cfg.mode.split(":", 1)[1]
-    if name == "slope":
-        ps = PerturbationSpec(1.0, 1.0, (0.005, 0.01, 0.02))
-        return slope_report(ps, n_angles=cfg.n_angles)
-    if name == "bound":
-        triples = []
-        for sv in (disk_support(cfg), _flat_support(cfg)):
-            b = reconstruct_boundary(sv)
-            triples.append((b, solve_boundary(b, cfg.k + 2), cfg.k))
-        return bound_report(triples)
+def _slope(cfg):
+    ps = PerturbationSpec(1.0, 1.0, (0.005, 0.01, 0.02))
+    return slope_report(ps, n_angles=cfg.n_angles), None, None
+
+
+def _bound(cfg):
+    shapes = [reconstruct_boundary(sv)
+              for sv in (disk_support(cfg), _flat_support(cfg))]
+    return bound_report([(b, solve_boundary(b, cfg.k + 2), cfg.k)
+                         for b in shapes]), None, None
+
+
+def _multiplicity(cfg):
+    start = _initial_support(cfg) if cfg.k == 1 else _flat_support(cfg)
     state = ascend(start, cfg)
-    _emit_shape(cfg.out_dir, state.boundary)
     return {**multiplicity_report(state, cfg.k),
-            "objective": _best_objective(state)}
+            "objective": max(state.objective_history)}, state.boundary, None
+
+
+# mode: (the options it reads besides mode and out_dir, its function).
+# The function maps a RunConfig to (payload, shape, eigenvalues): the
+# result.json payload, the BoundaryPolyline of shape.csv / shape.svg and
+# the eigenvalues of spectrum.csv, None for a file the mode does not
+# write; it reads its own start shape and writes nothing.  A run refuses
+# any option its mode does not read, which it would ignore yet record in
+# result.json.  A mode reads an option if any of its paths does (spectrum
+# reads n_angles and diameter, which a file: start leaves unused), and
+# experiment:multiplicity reads initial only at k = 1: at k >= 2 it starts
+# from the flat ellipse.
+MODES = {
+    "optimize-convex": (_EVERY, _optimize_convex),
+    "optimize-nonconvex": (_EVERY, _optimize_nonconvex),
+    "spectrum": (("k", "n_angles", "diameter", "initial"), _spectrum),
+    "experiment:slope": (("n_angles",), _slope),
+    "experiment:bound": (("k", "n_angles", "diameter"), _bound),
+    "experiment:multiplicity": (_EVERY, _multiplicity),
+    "benchmark-disk": (("n_angles", "diameter"), _benchmark_disk),
+}
 
 
 def run(cfg: RunConfig):
-    """Execute one configured run; returns the result payload written to
-    result.json (the wall time goes to timing.json).  Every payload
-    records the run's config and its objective history (empty when the
-    mode runs no ascent)."""
+    """Execute one configured run and write its files; returns the
+    result.json payload, which records the run's config and its objective
+    history (empty when no ascent runs).  The mode computes before the
+    output directory is made, so a failed run leaves nothing."""
     t0 = time.time()
-    start = _start(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    if cfg.mode in ("optimize-convex", "optimize-nonconvex"):
-        payload = _run_optimize(cfg, start)
-    elif cfg.mode == "spectrum":
-        payload = _run_spectrum(cfg, start)
-    elif cfg.mode == "benchmark-disk":
-        payload = _run_benchmark_disk(cfg)
-    else:
-        payload = _run_experiment(cfg, start)
+    payload, shape, eigenvalues = MODES[cfg.mode][1](cfg)
     payload["config"] = {key: getattr(cfg, key) for key in _FIELD_TYPES}
     payload.setdefault("history", [])
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    if shape is not None:
+        shape.to_csv(os.path.join(cfg.out_dir, "shape.csv"))
+        shape.to_svg(os.path.join(cfg.out_dir, "shape.svg"))
+    if eigenvalues is not None:
+        _write_series(os.path.join(cfg.out_dir, "spectrum.csv"), eigenvalues)
+    if payload["history"]:
+        _write_series(os.path.join(cfg.out_dir, "history.csv"),
+                      payload["history"], "iteration,objective")
     _write_json(os.path.join(cfg.out_dir, "result.json"), payload)
     # the BLAS thread count changes the ascent's rounding, so timing.json
     # records the settings (null when unset)

@@ -10,10 +10,13 @@ import pytest
 
 from conftest import with_src_path
 from steklovmax import BLAS_THREAD_VARS
-from steklovmax.cli import (RunConfig, _build_argparser, main, parse_config,
-                            read_config_file, run)
-from steklovmax.errors import ConfigError
+import steklovmax.cli
+from steklovmax.cli import (RunConfig, _build_argparser, _flat_graphs, main,
+                            parse_config, read_config_file, run)
+from steklovmax.errors import ConfigError, SolverFailure
 from steklovmax.geometry import BoundaryPolyline
+from steklovmax.graphs import GraphPair
+from steklovmax.optimize import disk_graphs, evaluate_graphs
 
 FAST = ["--n-angles", "100"]
 # the names a flag, a config key and result.json's config record all use
@@ -138,7 +141,7 @@ def test_exit_code_bad_input(tmp_path, args):
                                       [-0.5, 0.4]], delimiter=",")
     argv = [a.format(tmp=tmp_path) for a in args]
     assert main(argv + ["--out-dir", str(tmp_path / "out")] + FAST) == 3
-    # the start shape is read before the output directory is made
+    # a run that fails writes nothing, not even its output directory
     assert not (tmp_path / "out").exists()
 
 
@@ -146,10 +149,24 @@ def test_exit_code_solver_error(tmp_path, capsys):
     # a bow tie is a valid vertex loop that the solver refuses
     path = tmp_path / "bow.csv"
     np.savetxt(path, [[0, 0], [1, 1], [1, 0], [0, 1]], delimiter=",")
+    out = tmp_path / "out"
     assert main(["--mode", "spectrum", f"--initial=file:{path}",
-                 "--out-dir", str(tmp_path / "out")]) == 2
+                 "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
         "solver error [SelfIntersection]: edges 0 and 2 intersect\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["optimize-convex", "optimize-nonconvex"])
+def test_failed_final_solve_writes_nothing(tmp_path, monkeypatch, mode):
+    # the ascent succeeds; the final spectrum solve of its best shape fails
+    def fail(b, m):
+        raise SolverFailure("final solve refused")
+    monkeypatch.setattr(steklovmax.cli, "solve_boundary", fail)
+    out = tmp_path / "out"
+    assert main(["--mode", mode, "--n-angles", "60", "--max-iters", "2",
+                 "--out-dir", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,code", [("--help", 0), ("--no-such-flag", 3)])
@@ -349,8 +366,55 @@ def test_benchmark_disk_run(tmp_path):
     assert np.allclose(rows[:9, 1], [0, 1, 1, 2, 2, 3, 3, 4, 4], atol=5e-3)
     payload = json.loads((tmp_path / "result.json").read_text())
     assert payload["passed"]
-    for name in ("shape.csv", "shape.svg", "history.csv", "result.json"):
-        assert (tmp_path / name).exists() or name == "history.csv"
+
+
+SHAPE = ["result.json", "shape.csv", "shape.svg", "timing.json"]
+SPECTRUM = sorted(SHAPE + ["spectrum.csv"])
+SHORT = ["--max-iters", "2"]
+
+
+ARTIFACTS = [
+    ("optimize-convex", SHORT, ["history.csv"] + SPECTRUM),
+    ("optimize-nonconvex", SHORT, ["history.csv"] + SPECTRUM),
+    ("spectrum", [], SPECTRUM),
+    ("benchmark-disk", [], SPECTRUM),
+    ("experiment:multiplicity", SHORT, SHAPE),
+    ("experiment:slope", [], ["result.json", "timing.json"]),
+    ("experiment:bound", [], ["result.json", "timing.json"]),
+]
+
+
+@pytest.mark.parametrize("mode,args,files", ARTIFACTS,
+                         ids=[case[0] for case in ARTIFACTS])
+def test_artifacts_per_mode(tmp_path, mode, args, files):
+    # the exact file set of each mode; experiment:multiplicity runs an
+    # ascent but reports no history, so it writes no history.csv
+    out = tmp_path / "out"
+    assert main(["--mode", mode, "--n-angles", "60", "--out-dir", str(out)]
+                + args) == 0
+    assert sorted(p.name for p in out.iterdir()) == files
+
+
+@pytest.mark.parametrize("initial", ["file", "flat"])
+def test_nonconvex_start_paths(tmp_path, initial):
+    # the ascent's first objective is sigma_1 * D of the start it was given
+    opts = RunConfig(mode="optimize-nonconvex", n_angles=60, max_iters=2)
+    if initial == "file":
+        disk = disk_graphs(opts)
+        path = tmp_path / "graphs.csv"
+        np.savetxt(path, np.column_stack([0.5 * disk.p, 0.5 * disk.q]),
+                   delimiter=",")
+        p, q = np.loadtxt(path, delimiter=",", unpack=True)
+        start = GraphPair(p, q, opts.diameter)
+        initial = f"file:{path}"
+    else:
+        start = _flat_graphs(opts)
+    out = tmp_path / "out"
+    assert main(["--mode", "optimize-nonconvex", "--n-angles", "60",
+                 "--max-iters", "2", "--initial", initial,
+                 "--out-dir", str(out)]) == 0
+    history = json.loads((out / "result.json").read_text())["history"]
+    assert history[0] == evaluate_graphs(start, opts).objective(1)
 
 
 def test_spectrum_roundtrip(tmp_path):

@@ -3,7 +3,8 @@ name the package assigns is read, every module-level function, class and
 UPPER_CASE constant of the package is used somewhere in it, every method
 and property of its classes is called from the package, the tests or the
 benchmark, the solve path does not import the reference mesher or finite
-elements, and the package does not load scipy.optimize.
+elements, the package does not load scipy.optimize, and in the command
+line only run and its two writers write files.
 
 No linter ships with the project's dependencies, so this standard-library
 check stands in for one.  The package's __init__ imports only to
@@ -243,6 +244,51 @@ def test_package_imports_sees_relative_and_absolute():
 def test_solve_path_does_not_import_mesher(name):
     path = ROOT / "src" / "steklovmax" / f"{name}.py"
     assert not package_imports(path.read_text()) & {"meshing", "fem"}
+
+
+# the functions of cli.py that may write: run makes the output directory
+# and writes every file, the run modes only compute
+CLI_WRITERS = ("run", "_write_json", "_write_series")
+WRITE_CALLS = ("makedirs", "savetxt", "to_csv", "to_svg", "_write_json",
+               "_write_series")
+
+
+def file_writes(source):
+    """(line, call) of each call in source, outside the module-level
+    functions named in CLI_WRITERS, that writes: one of WRITE_CALLS, called by
+    name or as an attribute, or open with a mode that is not a plain
+    read mode."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if getattr(stmt, "name", None) in CLI_WRITERS:
+            continue
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            mode = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            mode = (node.args[1:2] or mode or [ast.Constant("r")])[0]
+            reads = isinstance(mode, ast.Constant) and \
+                not set(str(mode.value)) & set("wax+")
+            if name in WRITE_CALLS or name == "open" and not reads:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_checker_finds_file_writes():
+    src = ("def run(b):\n    os.makedirs('o')\n    b.to_csv('s')\n"
+           "def mode(b, m):\n    b.to_svg('s')\n    _write_series('p', [])\n"
+           "    open('r').read()\n    open('w', 'w')\n"
+           "    open('a', mode='a')\n    open('m', m)\n"
+           "    np.savetxt('t', [])\n")
+    assert file_writes(src) == [(5, "to_svg"), (6, "_write_series"),
+                                (8, "open"), (9, "open"), (10, "open"),
+                                (11, "savetxt")]
+
+
+def test_cli_writes_only_in_run():
+    path = ROOT / "src" / "steklovmax" / "cli.py"
+    assert file_writes(path.read_text()) == []
 
 
 def test_package_does_not_load_scipy_optimize():
