@@ -5,7 +5,7 @@ time and BLAS thread settings), shape.csv / shape.svg (final boundary),
 spectrum.csv (eigenvalues), history.csv (objective per accepted
 iterate).  Each mode only computes; run writes every file, after the
 computation, so a failed run leaves nothing.  Exit codes: 0 success,
-2 solver failure, 3 configuration error.
+2 solver failure, 3 configuration error or unwritable output directory.
 """
 
 import argparse
@@ -30,8 +30,6 @@ from .optimize import (OptimOptions, ascend, ascend_nonconvex, disk_graphs,
 # the OptimOptions fields a run leaves at their defaults: no flag, config
 # key or result.json entry names them
 UNSET = ("restarts", "mesh_h_factor")
-_EVERY = ("k", "n_angles", "diameter", "max_iters", "tol", "seed",
-          "verbose", "initial")
 
 
 @dataclass(frozen=True)
@@ -60,6 +58,8 @@ class RunConfig(OptimOptions):
 # result.json's config record
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)
                 if f.name not in UNSET}
+# the options a mode may read: all but mode and out_dir
+_EVERY = tuple(key for key in _FIELD_TYPES if key not in ("mode", "out_dir"))
 
 
 def _coerce(key, raw):
@@ -335,23 +335,27 @@ def run(cfg: RunConfig):
     payload, shape, eigenvalues = MODES[cfg.mode][1](cfg)
     payload["config"] = {key: getattr(cfg, key) for key in _FIELD_TYPES}
     payload.setdefault("history", [])
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    if shape is not None:
-        shape.to_csv(os.path.join(cfg.out_dir, "shape.csv"))
-        shape.to_svg(os.path.join(cfg.out_dir, "shape.svg"))
-    if eigenvalues is not None:
-        _write_series(os.path.join(cfg.out_dir, "spectrum.csv"), eigenvalues)
-    if payload["history"]:
-        _write_series(os.path.join(cfg.out_dir, "history.csv"),
-                      payload["history"], "iteration,objective")
-    _write_json(os.path.join(cfg.out_dir, "result.json"), payload)
-    # the BLAS thread count changes the ascent's rounding, so timing.json
-    # records the settings (null when unset)
-    _write_json(os.path.join(cfg.out_dir, "timing.json"),
-                {"wall_time_seconds": time.time() - t0,
-                 "blas_thread_env": {name: os.environ.get(name)
-                                     for name in BLAS_THREAD_VARS},
-                 "cpu_count": os.cpu_count()})
+    out = cfg.out_dir
+    try:
+        os.makedirs(out, exist_ok=True)
+        if shape is not None:
+            shape.to_csv(os.path.join(out, "shape.csv"))
+            shape.to_svg(os.path.join(out, "shape.svg"))
+        if eigenvalues is not None:
+            _write_series(os.path.join(out, "spectrum.csv"), eigenvalues)
+        if payload["history"]:
+            _write_series(os.path.join(out, "history.csv"),
+                          payload["history"], "iteration,objective")
+        _write_json(os.path.join(out, "result.json"), payload)
+        # the BLAS thread count changes the ascent's rounding, so
+        # timing.json records the settings (null when unset)
+        _write_json(os.path.join(out, "timing.json"),
+                    {"wall_time_seconds": time.time() - t0,
+                     "blas_thread_env": {name: os.environ.get(name)
+                                         for name in BLAS_THREAD_VARS},
+                     "cpu_count": os.cpu_count()})
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out}: {exc}") from exc
     return payload
 
 

@@ -81,15 +81,14 @@ class UnitRows:
             return (row + 0.0).tobytes() + (bound + 0.0).tobytes()
 
         first = {}
-        for i in range(len(h)):
-            first.setdefault(key(coeffs[i], bounds[i]), i)
         paired = np.zeros(len(h), dtype=bool)
         limits = h.copy()
         for j in range(len(h)):
             i = first.get(key(-coeffs[j], -bounds[j]))
-            if i is not None and i < j:
+            if i is not None:
                 paired[i] = True
                 limits[[i, j]] = np.inf
+            first.setdefault(key(coeffs[j], bounds[j]), j)
         return cls(g, h, g @ g.T, limits, np.flatnonzero(paired),
                    max(1.0, float(np.abs(h).max(initial=0.0))))
 
@@ -104,8 +103,8 @@ def convexity_rows(n, h):
     return a
 
 
-def diameter_rows(n, d):
-    """N/2 width rows p_i + p_{i+N/2} <= d and one anchor row p_0 + p_{N/2} >= d."""
+def diameter_rows(n):
+    """N/2 width rows p_i + p_{i+N/2} and the anchor row, a copy of row 0."""
     half = n // 2
     w = np.zeros((half, n))
     idx = np.arange(half)
@@ -127,7 +126,7 @@ def build_constraint_set(n, h, d, p_min, convexity_min=0.0):
     differentiable on the floored set.
     """
     conv = convexity_rows(n, h)
-    widths, anchor = diameter_rows(n, d)
+    widths, anchor = diameter_rows(n)
     pos = np.eye(n)
     coeffs = np.vstack([-conv, widths, -anchor, -pos])
     bounds = np.concatenate([np.full(n, -convexity_min), np.full(n // 2, d),
@@ -148,41 +147,38 @@ def project(x, cset: LinearConstraintSet, start=None):
     that set alone, not on the path to it.
     """
     x = np.asarray(x, dtype=float)
-    g, hh = cset.coeffs, cset.bounds
-    if np.all(hh - g @ x >= -FEAS_TOL):
+    if np.all(cset.residuals(x) >= -FEAS_TOL):
         return x.copy()
     rows = cset.unit_rows
     out = solve_on(x, rows, active_rows(x, rows, start))
-    worst = float(np.min(hh - g @ out))
-    if worst < -1e3 * FEAS_TOL * max(1.0, float(np.abs(hh).max())):
+    worst = float(np.min(cset.residuals(out)))
+    if worst < -1e3 * FEAS_TOL * max(1.0, float(np.abs(cset.bounds).max())):
         raise ProjectionFailure(f"projection infeasible by {-worst:.3e}")
     return out
 
 
 def solve_on(x, rows, active):
     """The point nearest x with the given rows active: z = x - G_A^T u."""
-    factor, u = _multipliers(rows.coeffs @ x - rows.bounds, rows, active)
-    if factor is None:
-        raise ProjectionFailure("active rows linearly dependent")
+    _, u = _multipliers(rows.coeffs @ x - rows.bounds, rows, active)
     return x - rows.coeffs[active].T @ u
 
 
 def _factor(rows, active):
-    """Lower Cholesky factor of M_AA, M = rows.gram; None when it fails."""
+    """Lower Cholesky factor of M_AA, M = rows.gram; raises
+    ProjectionFailure when the active rows are linearly dependent."""
     # the Gram block is symmetric: its transpose is the Fortran-ordered copy
     factor, info = lapack.dpotrf(rows.gram[active][:, active].T, lower=1)
-    return factor if info == 0 else None
+    if info != 0:
+        raise ProjectionFailure("active rows linearly dependent")
+    return factor
 
 
 def _multipliers(excess, rows, active):
     """Lower Cholesky factor of G_A G_A^T and the multipliers u solving
-    G_A G_A^T u = G_A x - h_A, given excess = G x - h; (None, None) when
-    the factorization fails."""
+    G_A G_A^T u = G_A x - h_A, given excess = G x - h."""
     if not len(active):
         return np.zeros((0, 0), order="F"), np.zeros(0)
     factor = _factor(rows, active)
-    if factor is None:
-        return None, None
     u, _ = lapack.dpotrs(factor, excess[active], lower=1)
     return factor, u
 
@@ -211,18 +207,18 @@ def active_rows(x, rows, start=None):
         slack = rows.limits - rows.coeffs @ np.asarray(start, dtype=float)
         near = np.abs(slack) <= ACTIVE_TOL * rows.scale
         active = np.concatenate([eq, np.flatnonzero(near)])
-    factor, u = _multipliers(excess, rows, active)
-    if factor is None or np.diag(factor).min(initial=1.0) < DEPENDENT_TOL:
+    try:
+        factor, u = _multipliers(excess, rows, active)
+        dependent = np.diag(factor).min(initial=1.0) < DEPENDENT_TOL
+    except ProjectionFailure:
+        dependent = True
+    if dependent:
         # a dependent seed: start from the equalities alone
         active = eq
         factor, u = _multipliers(excess, rows, active)
-        if factor is None:
-            raise ProjectionFailure("equality rows dependent")
     while (u[first:] < 0).any():
         active = np.concatenate([eq, active[first:][u[first:] >= 0]])
         factor, u = _multipliers(excess, rows, active)
-        if factor is None:
-            raise ProjectionFailure("active rows dependent")
     addable = gx - rows.limits      # -inf on the rows never added
     tol = VIOLATION_TOL * rows.scale
     for _ in range(10 * len(rows.limits)):
@@ -263,6 +259,4 @@ def active_rows(x, rows, start=None):
             keep = np.arange(k) != cut[np.argmin(ratios)]
             active, u = active[keep], u[keep]
             factor = _factor(rows, active)
-            if factor is None:
-                raise ProjectionFailure("active-set factor update failed")
     raise ProjectionFailure("active-set iteration limit reached")

@@ -41,8 +41,7 @@ class SolverFailure(SteklovMaxError):
 class ProjectionFailure(SteklovMaxError):
     """The projection onto the constraint polyhedron failed: the polyhedron
     is empty, the active rows are linearly dependent, the active-set
-    factor update failed, the active-set method reached its iteration cap,
-    or the result is infeasible."""
+    method reached its iteration cap, or the result is infeasible."""
 
 
 class NoAscent(SteklovMaxError):

@@ -5,7 +5,7 @@ A convex planar body is described by the values ``p[i]`` of its support
 function on a uniform angle grid.  All index arithmetic is cyclic mod N.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +116,7 @@ class DiameterReport:
     """Diameter of a polyline plus every vertex pair achieving it."""
 
     diameter: float
-    pairs: list = field(default_factory=list)
+    pairs: list
 
     def __post_init__(self):
         if not self.pairs:
@@ -156,15 +156,8 @@ def compute_diameter(b: BoundaryPolyline) -> DiameterReport:
 
 
 def _orient(a, b, c):
-    """Sign of the cross product (b-a) x (c-a); exact fallback near zero."""
-    acx = a[0] - c[0]
-    bcx = b[0] - c[0]
-    acy = a[1] - c[1]
-    bcy = b[1] - c[1]
-    det = acx * bcy - acy * bcx
-    err = 3.3e-16 * (abs(acx * bcy) + abs(acy * bcx))
-    if abs(det) > err:
-        return 1.0 if det > 0 else -1.0
+    """Sign of the cross product (b-a) x (c-a), exact in rationals: the
+    fallback for the orientations _orient_rows leaves undecided."""
     from fractions import Fraction as F
     det = (F(a[0]) - F(c[0])) * (F(b[1]) - F(c[1])) \
         - (F(a[1]) - F(c[1])) * (F(b[0]) - F(c[0]))
@@ -172,7 +165,9 @@ def _orient(a, b, c):
 
 
 def _segments_cross(a, b, c, d):
-    """True iff closed segments ab and cd intersect."""
+    """True iff closed segments ab and cd intersect, by exact orientations:
+    each one's ends lie on both sides of the other's line, or a, b or c
+    lies on the other segment (d on ab implies one of these)."""
     d1 = _orient(c, d, a)
     d2 = _orient(c, d, b)
     d3 = _orient(a, b, c)
@@ -187,16 +182,12 @@ def _segments_cross(a, b, c, d):
         return True
     if d2 == 0 and on(c, d, b):
         return True
-    if d3 == 0 and on(a, b, c):
-        return True
-    if d4 == 0 and on(a, b, d):
-        return True
-    return False
+    return d3 == 0 and on(a, b, c)
 
 
 def _orient_rows(a, b, c):
-    """_orient over rows of a, b, c: +-1 where the float determinant
-    decides the sign, nan where _orient takes its exact fallback."""
+    """Orientations over rows of a, b, c: +-1 where the float determinant
+    decides the sign, nan where only the exact _orient can."""
     acx = a[:, 0] - c[:, 0]
     bcx = b[:, 0] - c[:, 0]
     acy = a[:, 1] - c[:, 1]

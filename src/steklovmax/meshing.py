@@ -115,7 +115,6 @@ class TriangleMesh:
     triangles: np.ndarray
     boundary_loop: np.ndarray
     boundary_vertex_map: np.ndarray
-    target_h: float
 
     @property
     def boundary_edges(self):
@@ -146,8 +145,7 @@ class TriangleMesh:
     def scaled(self, t):
         """Same mesh with all vertex coordinates scaled by t."""
         return TriangleMesh(self.vertices * t, self.triangles,
-                            self.boundary_loop, self.boundary_vertex_map,
-                            self.target_h * t)
+                            self.boundary_loop, self.boundary_vertex_map)
 
 
 def _triangle_quality(verts, tris):
@@ -396,5 +394,4 @@ def triangulate(b: BoundaryPolyline, target_h: float) -> TriangleMesh:
 
     return TriangleMesh(vertices=pts[order], triangles=tris,
                         boundary_loop=np.arange(nb),
-                        boundary_vertex_map=np.nonzero(original)[0],
-                        target_h=target_h)
+                        boundary_vertex_map=np.nonzero(original)[0])

@@ -203,18 +203,15 @@ def _ascent(x0, opts, evaluate, gradient, projector, active_snapshot,
             while step >= STEP_MIN:
                 try:
                     cand = projector(x + step * g)
-                except ProjectionFailure:
-                    step *= BACKTRACK
-                    continue
-                move = cand - x
-                gain_pred = float(g @ move)
-                if np.linalg.norm(move) < 1e-14 * max(1.0, np.linalg.norm(x)):
-                    break
-                try:
+                    move = cand - x
+                    if np.linalg.norm(move) < 1e-14 * max(
+                            1.0, np.linalg.norm(x)):
+                        break
                     cand_ev = evaluate(cand)
                 except REJECTED:
                     step *= BACKTRACK
                     continue
+                gain_pred = float(g @ move)
                 cand_obj = cand_ev.objective(opts.k)
                 if cand_obj >= obj + ARMIJO * max(gain_pred, 0.0):
                     accepted = True

@@ -141,27 +141,24 @@ def _quadrature(ell, size, graded):
     ell holds the edge lengths (edge i runs from vertex i to i + 1) and
     graded flags the vertices that carry a corner function.  An edge with
     a graded end is split at its midpoint and each half graded towards its
-    graded end.  Returns (edge, lam, weight): the edge of each node, its
-    position along the edge (0 at vertex edge, 1 at the next vertex) and
-    its arclength weight.  Nodes are ordered by edge and position.
+    graded end.  A panel gets the points of a plain edge of its length, a
+    graded one those of an edge four times as long (see GRADING).  Returns
+    (edge, lam, weight): the edge of each node, its position along the
+    edge (0 at vertex edge, 1 at the next vertex) and its arclength
+    weight.  Nodes are ordered by edge and position.
     """
-    counts = np.ceil(GAUSS_MIN + DEGREE * ell / size)
-    counts = np.minimum(counts, DEGREE + 1).astype(int)
     start, end = graded, np.roll(graded, -1)
-    split = start | end
-    half = np.ceil(GAUSS_MIN + DEGREE * ell / (2 * size))
-    half = np.minimum(half, DEGREE + 1).astype(int)
-    graded_n = np.ceil(GAUSS_MIN + DEGREE * 2 * ell / size)
-    graded_n = np.minimum(graded_n, GRADING * DEGREE + 1).astype(int)
     # two panels per edge in edge order, [a, b] = [0, 1/2] and [1/2, 1] on
     # a split edge; on a whole edge [0, 1] and an empty [1, 1]
-    mid = np.where(split, 0.5, 1.0)
+    mid = np.where(start | end, 0.5, 1.0)
     a = np.column_stack([np.zeros(len(ell)), mid]).ravel()
     b = np.column_stack([mid, np.ones(len(ell))]).ravel()
-    npts = np.column_stack([
-        np.where(split, np.where(start, graded_n, half), counts),
-        np.where(split, np.where(end, graded_n, half), 0)]).ravel()
     toward = np.column_stack([-start.astype(int), end.astype(int)]).ravel()
+    # a panel gets the points of a plain edge of length span; an empty none
+    span = (b - a) * ell.repeat(2) * np.where(toward, 4, 1)
+    cap = np.where(toward, GRADING * DEGREE + 1, DEGREE + 1) * (b > a)
+    npts = np.minimum(np.ceil(GAUSS_MIN + DEGREE * span / size), cap)
+    npts = npts.astype(int)
     rules = [_rule(p, t) for p, t in zip(npts.tolist(), toward.tolist())
              if p > 0]
     x = np.concatenate([r[0] for r in rules])
@@ -210,7 +207,7 @@ def _arnoldi(zeta, w):
     return V, T.T @ V
 
 
-def _corners(z, dz, orient):
+def _corners(dz, orient):
     """Vertices that get a corner function: flags per vertex, indices, and
     per corner gamma = pi / alpha (above 1/2, as a turn lies in (-pi, pi])
     and the unit complex direction of the interior bisector."""
@@ -387,7 +384,7 @@ def solve_harmonic(b: BoundaryPolyline, m: int) -> HarmonicSpectrum:
     dz = np.roll(z, -1) - z
     ell = np.abs(dz)
     tau = dz / ell
-    graded, at, gamma, bisector = _corners(z, dz, orient)
+    graded, at, gamma, bisector = _corners(dz, orient)
     npoly = 2 * DEGREE + 1
     nbasis = npoly + len(at)
     if m + 1 > nbasis:

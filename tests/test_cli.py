@@ -91,6 +91,27 @@ def test_config_file_bad_value(tmp_path):
         read_config_file(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read config file"),
+    ("seed 9\n", "expected 'key = value'"),
+    ("verbose = maybe\n", "bad value for verbose"),
+], ids=["missing-file", "no-equals", "bad-bool"])
+def test_config_file_errors(tmp_path, text, message):
+    path = tmp_path / "run.cfg"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        read_config_file(path)
+
+
+def test_numpy_scalar_config_written(tmp_path):
+    # a numpy integer in the config record is written as a JSON number
+    run(RunConfig(mode="experiment:slope", n_angles=np.int64(60),
+                  out_dir=str(tmp_path)))
+    payload = json.loads((tmp_path / "result.json").read_text())
+    assert payload["config"]["n_angles"] == 60
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("STEKLOV_OUT_DIR", str(tmp_path))
     cfg = parse_config([])
@@ -155,6 +176,21 @@ def test_exit_code_solver_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "solver error [SelfIntersection]: edges 0 and 2 intersect\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,out", [
+    (["--mode", "benchmark-disk"], "plain/out"),
+    (["--mode", "experiment:slope"], "plain"),
+], ids=["under-a-file", "is-a-file"])
+def test_unwritable_out_dir_is_config_error(tmp_path, capsys, args, out):
+    # a regular file where the output directory or its parent should be;
+    # file permissions would not stop a run as root
+    (tmp_path / "plain").write_text("")
+    assert main(args + ["--n-angles", "60",
+                        "--out-dir", str(tmp_path / out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write to ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode", ["optimize-convex", "optimize-nonconvex"])

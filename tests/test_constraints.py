@@ -93,7 +93,7 @@ def test_convexity_rows_shape():
 
 
 def test_diameter_rows_shapes():
-    w, anchor = diameter_rows(N, 2.0)
+    w, anchor = diameter_rows(N)
     assert w.shape == (N // 2, N)
     assert anchor.shape == (1, N)
     assert np.all(w.sum(axis=1) == 2)

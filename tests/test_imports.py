@@ -1,5 +1,6 @@
 """Lint: every import in the package and the tests is used, every local
-name the package assigns is read, every module-level function, class and
+name the package assigns is read, every parameter of its module-level
+functions and methods is read, every module-level function, class and
 UPPER_CASE constant of the package is used somewhere in it, every method
 and property of its classes is called from the package, the tests or the
 benchmark, the solve path does not import the reference mesher or finite
@@ -105,6 +106,49 @@ def test_checker_finds_unread_locals():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unread_locals(path):
     assert unread_locals(path.read_text()) == []
+
+
+def unread_parameters(source):
+    """(line, function, parameter) of each parameter of a module-level
+    function or of a method of a module-level class that nothing in the
+    function's body, its nested functions included, reads.  Nested
+    functions are exempt: their callers fix their signatures."""
+    found = []
+    for stmt in ast.parse(source).body:
+        funcs = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        for func in funcs:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = func.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *filter(None, [a.vararg, a.kwarg])]
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            found.extend((func.lineno, func.name, p.arg) for p in params
+                         if p.arg not in read)
+    return found
+
+
+def test_checker_finds_unread_parameters():
+    src = ("def f(a, b, *c, d=1, **e):\n"
+           "    def g(unused):\n"
+           "        return b\n"
+           "    return g(d)\n"
+           "class C:\n"
+           "    def m(self, x):\n"
+           "        return self\n"
+           "def h(y):\n"
+           "    y = 1\n"
+           "    return 0\n")
+    assert unread_parameters(src) == [
+        (1, "f", "a"), (1, "f", "c"), (1, "f", "e"), (6, "m", "x"),
+        (8, "h", "y")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def unmentioned_definitions(sources):

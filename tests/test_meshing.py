@@ -1,5 +1,7 @@
 """Meshing: simplicity check, quality invariants, boundary bookkeeping."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
@@ -480,6 +482,39 @@ def test_check_simple_matches_oracle_on_random_loops(monkeypatch):
     assert pairs == oracle
     assert 50 <= sum(p is None for p in pairs) <= len(pairs) - 50
     assert exact    # collinear cases reached the exact test
+
+
+def segments_meet(a, b, c, d):
+    """Whether closed segments ab and cd share a point, exactly: solve
+    a + t (b - a) = c + u (d - c) with t, u in [0, 1], or, for parallel
+    segments, require a common line and overlapping parameter ranges."""
+    a, b, c, d = ([Fraction(x) for x in p] for p in (a, b, c, d))
+    r = (b[0] - a[0], b[1] - a[1])
+    s = (d[0] - c[0], d[1] - c[1])
+    q = (c[0] - a[0], c[1] - a[1])
+
+    def cross(p, o):
+        return p[0] * o[1] - p[1] * o[0]
+    den = cross(r, s)
+    if den:
+        return 0 <= cross(q, s) / den <= 1 and 0 <= cross(q, r) / den <= 1
+    if cross(q, r):
+        return False
+    rr = r[0] ** 2 + r[1] ** 2
+    t0 = (q[0] * r[0] + q[1] * r[1]) / rr
+    t1 = t0 + (s[0] * r[0] + s[1] * r[1]) / rr
+    return max(min(t0, t1), 0) <= min(max(t0, t1), 1)
+
+
+def test_segments_cross_matches_exact_definition():
+    # every pair of segments with distinct endpoints on the 4 x 3 integer
+    # grid: collinear, touching and overlapping pairs are common
+    grid = [(float(x), float(y)) for x in range(4) for y in range(3)]
+    segs = [(p, q) for p in grid for q in grid if p != q]
+    pairs = [(a, b, c, d) for a, b in segs for c, d in segs]
+    assert len(pairs) == 17424
+    wrong = [p for p in pairs if _segments_cross(*p) != segments_meet(*p)]
+    assert wrong == []
 
 
 @pytest.mark.parametrize("name,b", SHAPES, ids=[c[0] for c in SHAPES])
