@@ -3,15 +3,18 @@
 Artifacts per run: result.json (structured results), timing.json (wall
 time and BLAS thread settings), shape.csv / shape.svg (final boundary),
 spectrum.csv (eigenvalues), history.csv (objective per accepted
-iterate).  Each mode only computes; run writes every file, after the
-computation, so a failed run leaves nothing.  Exit codes: 0 success,
-2 solver failure, 3 configuration error or unwritable output directory.
+iterate).  Each mode only computes; run writes every file after the
+computation, into a temporary directory inside the output directory, and
+then moves each into place, so a failed run leaves nothing.  Exit codes:
+0 success, 2 solver failure, 3 configuration error or unwritable output
+directory.
 """
 
 import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, fields
 
@@ -330,30 +333,44 @@ def run(cfg: RunConfig):
     """Execute one configured run and write its files; returns the
     result.json payload, which records the run's config and its objective
     history (empty when no ascent runs).  The mode computes before the
-    output directory is made, so a failed run leaves nothing."""
+    output directory is made, and the files are written into a temporary
+    directory inside it and then moved into place, so a failed run leaves
+    nothing."""
     t0 = time.time()
     payload, shape, eigenvalues = MODES[cfg.mode][1](cfg)
     payload["config"] = {key: getattr(cfg, key) for key in _FIELD_TYPES}
     payload.setdefault("history", [])
+    # file name: its writer, called with the path to write
+    files = {}
+    if shape is not None:
+        files["shape.csv"] = shape.to_csv
+        files["shape.svg"] = shape.to_svg
+    if eigenvalues is not None:
+        files["spectrum.csv"] = lambda path: _write_series(path, eigenvalues)
+    if payload["history"]:
+        files["history.csv"] = lambda path: _write_series(
+            path, payload["history"], "iteration,objective")
+    files["result.json"] = lambda path: _write_json(path, payload)
+    # the BLAS thread count changes the ascent's rounding, so timing.json
+    # records the settings (null when unset)
+    files["timing.json"] = lambda path: _write_json(
+        path, {"wall_time_seconds": time.time() - t0,
+               "blas_thread_env": {name: os.environ.get(name)
+                                   for name in BLAS_THREAD_VARS},
+               "cpu_count": os.cpu_count()})
     out = cfg.out_dir
+    for name in files:
+        path = os.path.join(out, name)
+        if os.path.lexists(path) and not os.path.isfile(path):
+            raise ConfigError(f"cannot write to {out}: {path} is not a "
+                              "regular file")
     try:
         os.makedirs(out, exist_ok=True)
-        if shape is not None:
-            shape.to_csv(os.path.join(out, "shape.csv"))
-            shape.to_svg(os.path.join(out, "shape.svg"))
-        if eigenvalues is not None:
-            _write_series(os.path.join(out, "spectrum.csv"), eigenvalues)
-        if payload["history"]:
-            _write_series(os.path.join(out, "history.csv"),
-                          payload["history"], "iteration,objective")
-        _write_json(os.path.join(out, "result.json"), payload)
-        # the BLAS thread count changes the ascent's rounding, so
-        # timing.json records the settings (null when unset)
-        _write_json(os.path.join(out, "timing.json"),
-                    {"wall_time_seconds": time.time() - t0,
-                     "blas_thread_env": {name: os.environ.get(name)
-                                         for name in BLAS_THREAD_VARS},
-                     "cpu_count": os.cpu_count()})
+        with tempfile.TemporaryDirectory(dir=out) as tmp:
+            for name, write in files.items():
+                write(os.path.join(tmp, name))
+            for name in files:
+                os.replace(os.path.join(tmp, name), os.path.join(out, name))
     except OSError as exc:
         raise ConfigError(f"cannot write to {out}: {exc}") from exc
     return payload

@@ -4,11 +4,14 @@ Lagrange P2 assembly of the stiffness matrix K and the boundary mass
 matrix B.  The Steklov spectrum is the finite spectrum of the sparse
 pencil K x = sigma B x; B vanishes on interior unknowns, so the pencil
 also has infinite eigenvalues, which shift-invert Lanczos never reaches.
-Only the few smallest eigenpairs are computed, by shift-invert Lanczos on
-one sparse LU of K + B, with SuperLU's relaxed supernodes turned off and
-Lanczos stopped at a residual of 1e-10 (solve_spectrum gives the measured
-reasons).  The optimizer solves with trefftz.py; this solver is the
-reference it is tested against.
+Each element stiffness is one small matrix product: three entries of the
+element's metric against three reference matrices.  Only the few smallest
+eigenpairs are computed, by shift-invert Lanczos on the boundary traces
+with one sparse LU of K + B, factored with its dofs in strips across the
+domain, with SuperLU's relaxed supernodes turned off and Lanczos stopped
+at a residual of 1e-10 (solve_spectrum gives the measured reasons).  The
+optimizer solves with trefftz.py; this solver is the reference it is
+tested against.
 """
 
 from dataclasses import dataclass
@@ -42,6 +45,22 @@ def _p2_grads(xi, eta):
     for k, (i, j) in enumerate(pairs):
         g[3 + k] = 4.0 * (lam[i] * dlam[j] + lam[j] * dlam[i])
     return g
+
+
+def _reference_stiffness():
+    """R_ij = sum_q w_q grad_i phi_a grad_j phi_b on the reference
+    triangle, flattened over (a, b): rows R_00, R_11 and R_01 + R_10.
+
+    The quadrature's values are exact, so a vertex and the midpoint of its
+    opposite edge, whose coupling vanishes on every affine triangle, get
+    exact zeros here and in every element matrix.
+    """
+    g = np.stack([_p2_grads(x, y) for x, y in _QP])
+    r = np.einsum("q,qai,qbj->ijab", _QW, g, g).reshape(2, 2, 36)
+    return np.stack((r[0, 0], r[1, 1], r[0, 1] + r[1, 0]))
+
+
+_KREF = _reference_stiffness()
 
 
 def _p2_1d(t):
@@ -88,28 +107,26 @@ def build_space(mesh: TriangleMesh, order: int = 2) -> FEMSpace:
 
 
 def assemble(space: FEMSpace):
-    """Stiffness K (volume gradient form) and boundary mass B (trace form)."""
+    """Stiffness K (volume gradient form) and boundary mass B (trace form).
+
+    The element stiffness matrices are one (triangles x 3) @ (3 x 36)
+    product: on the aspect-0.6 ellipse at h = 0.035 (7713 triangles) they
+    took 0.8-1.1 ms instead of 15.6-21.3 ms as batched 6x2 matmuls per
+    quadrature point, within 3.6e-16 of the largest entry.
+    """
     mesh = space.mesh
     tris = mesh.triangles
     v = mesh.vertices
     a = v[tris[:, 0]]
     e1 = v[tris[:, 1]] - a
     e2 = v[tris[:, 2]] - a
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    # inverse-transpose of the affine Jacobian [e1 e2], times det
-    invT = np.empty((len(tris), 2, 2))
-    invT[:, 0, 0] = e2[:, 1]
-    invT[:, 0, 1] = -e1[:, 1]
-    invT[:, 1, 0] = -e2[:, 0]
-    invT[:, 1, 1] = e1[:, 0]
-
-    gref = np.stack([_p2_grads(x, y) for x, y in _QP])
-    kloc = np.zeros((len(tris), 6, 6))
-    for q in range(len(_QW)):
-        # physical gradients (invT @ gref / det) and their Gram matrices,
-        # both batched matmuls
-        g = gref[q] @ invT.transpose(0, 2, 1) / det[:, None, None]
-        kloc += _QW[q] * np.abs(det)[:, None, None] * (g @ g.transpose(0, 2, 1))
+    det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    # |det| J^-1 J^-T of the affine Jacobian J = [e1 e2], as its entries
+    # (0,0), (1,1) and (0,1), against the matching reference matrices
+    metric = np.column_stack((np.einsum("ij,ij->i", e2, e2),
+                              np.einsum("ij,ij->i", e1, e1),
+                              -np.einsum("ij,ij->i", e1, e2))) / det[:, None]
+    kloc = metric @ _KREF
 
     rows = np.repeat(space.cell_dofs, 6, axis=1).ravel()
     cols = np.tile(space.cell_dofs, (1, 6)).ravel()
@@ -188,16 +205,54 @@ def _boundary_samples(space: FEMSpace, y, sigma) -> BoundarySamples:
                            basis_motion=np.zeros((m, m, len(bvm), 2)))
 
 
+def _strip_order(space: FEMSpace):
+    """The dofs in strips about one mesh size wide, by y, each by x.
+
+    A vertex dof sits at its vertex and an edge dof at its edge's
+    midpoint; the width is sqrt(2 * mean triangle area), the side of a
+    right isosceles triangle of the mean area.
+    """
+    v = space.mesh.vertices
+    tris = space.mesh.triangles
+    xy = np.empty((space.dof_count, 2))
+    # local dof k sits at vertex k, dof 3 + k on the edge opposite it
+    for k in range(3):
+        xy[space.cell_dofs[:, k]] = v[tris[:, k]]
+        xy[space.cell_dofs[:, 3 + k]] = 0.5 * (v[tris[:, k - 2]]
+                                               + v[tris[:, k - 1]])
+    width = np.sqrt(2.0 * np.abs(space.mesh.triangle_areas()).mean())
+    strip = np.floor((xy[:, 1] - xy[:, 1].min()) / width)
+    return np.lexsort((xy[:, 0], strip))
+
+
+def _relabelled(A, perm, pos):
+    """P A P^T in CSC: row and column perm[i] of the CSR matrix A become
+    row and column i, where pos is the inverse of perm."""
+    A = A.tocsr()[perm]
+    return sp.csr_matrix((A.data, pos[A.indices], A.indptr),
+                         shape=A.shape).tocsc()
+
+
 def solve_spectrum(space: FEMSpace, K, B, m: int) -> SteklovSpectrum:
     """The m+1 smallest Steklov eigenvalues of the pencil (K, B).
 
-    Shift-invert Lanczos (ARPACK mode 3) at sigma = -1 on the full sparse
-    pencil: K + B is symmetric positive definite, so one sparse LU of it
-    serves every Lanczos step, and the singular B defines the (semi-)inner
-    product.  The start vector is fixed, so repeated calls are identical.
+    Shift-invert Lanczos (ARPACK mode 3) at sigma = -1 on the boundary
+    traces: K + B is symmetric positive definite, so one sparse LU of it
+    serves every Lanczos step, and as B vanishes off the boundary, the
+    finite spectrum is that of the trace pencil with M = B_bb and
+    OPinv(x_b) = [(K + B)^-1 (x_b on the boundary, 0 inside)]_b.  B_bb
+    is definite, so the traces come out B_bb-orthonormal.  The start
+    vector is fixed, so repeated calls are identical.
 
     Measured on the disk and the 12 perfbench pool shapes at h = 0.035
-    (16k-26k dofs, one core, best of three runs):
+    (16k-26k dofs, 494-638 of them on the boundary, one core):
+    - K + B is factored with its dofs in _strip_order, which SuperLU's
+      minimum degree ordering then refines: the factorizations took 0.70
+      times as long as in the order of build_space, and the fill on the
+      aspect-0.6 ellipse fell from 1,155,054 to 1,087,478.
+    - Lanczos on the traces takes the same 33-43 solves as on the full
+      dof vector, with eigenvalues within 5e-15, but ARPACK's vectors are
+      the boundary's length: eigsh took 0.70 times as long.
     - relax=1 turns off SuperLU's relaxed supernodes.  The factors keep
       their nonzeros, but a factorization took 52-108 ms instead of
       57-160 ms, and a solve 1.2-2.2 ms instead of 1.35-2.75 ms.
@@ -209,38 +264,49 @@ def solve_spectrum(space: FEMSpace, K, B, m: int) -> SteklovSpectrum:
       gradient moved by up to 1.6e-10 relative, those of
       sigma_1..sigma_{m-1} by at most 8.8e-13.  Solve for one more pair
       when the gradient of sigma_m is needed more closely.
-    A reverse Cuthill-McKee pre-order before the minimum degree ordering
-    cut the factorization by another 7-22%, but importing
-    scipy.sparse.csgraph for it added 1.1 MiB to every process that
-    imports this package.
+    A reverse Cuthill-McKee pre-order, which scipy.sparse.csgraph
+    provides, would add 1.1 MiB to every process that imports this
+    package; the strip order needs no import.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     bset = space.boundary_dofs
-    n = space.dof_count
-    nev = min(m + 1, len(bset))
-    if nev >= n - 1:
+    nb = len(bset)
+    nev = m + 1
+    if nev >= nb:
         raise SolverFailure(f"Lanczos cannot compute {nev} eigenpairs "
-                            f"of a pencil with {n} dofs")
+                            f"of a pencil with {nb} boundary dofs")
+    perm = _strip_order(space)
+    # position of each dof in the factor's order
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(len(perm))
     try:
-        lu = splu((K + B).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, relax=1,
+        lu = splu(_relabelled(K + B, perm, pos),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverFailure(f"factorization of K + B failed: {exc}") from exc
-    opinv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    at = pos[bset]
+    rhs = np.zeros(space.dof_count)
+
+    def solve_traces(xb):
+        rhs[at] = xb
+        return lu.solve(rhs)[at]
+
+    Bbb = B.tocsc()[np.ix_(bset, bset)]
     # not the constant vector: that is the sigma_0 eigenvector itself
-    v0 = np.random.default_rng(0).standard_normal(n)
+    v0 = np.random.default_rng(0).standard_normal(nb)
+    # in mode 3 with OPinv given, eigsh reads only the shape and dtype of A
+    opinv = LinearOperator((nb, nb), matvec=solve_traces, dtype=float)
     try:
-        w, x = eigsh(K, k=nev, M=B, sigma=-1.0, OPinv=opinv, tol=1e-10, v0=v0)
+        w, y = eigsh(opinv, k=nev, M=Bbb, sigma=-1.0, OPinv=opinv,
+                     tol=1e-10, v0=v0)
     except ArpackError as exc:
         raise SolverFailure(f"Lanczos eigensolve failed: {exc}") from exc
     order = np.argsort(w, kind="stable")
     w = w[order]
-    y = x[bset][:, order]
-    Bbb = B.tocsc()[np.ix_(bset, bset)].toarray()
-    Bbb = 0.5 * (Bbb + Bbb.T)
+    y = y[:, order]
+    Bbb = Bbb.toarray()
     return SteklovSpectrum(eigenvalues=w, traces=y,
                            samples=_boundary_samples(space, y, w),
-                           space=space, b_boundary=Bbb)
-
+                           space=space, b_boundary=0.5 * (Bbb + Bbb.T))

@@ -193,6 +193,29 @@ def test_unwritable_out_dir_is_config_error(tmp_path, capsys, args, out):
     assert "Traceback" not in err
 
 
+def test_failed_write_leaves_no_file(tmp_path, capsys):
+    # a directory where result.json should go: the run refuses before it
+    # writes any of shape.csv, shape.svg or spectrum.csv
+    (tmp_path / "result.json").mkdir()
+    assert main(["--mode", "benchmark-disk", "--n-angles", "60",
+                 "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert os.listdir(tmp_path) == ["result.json"]
+
+
+def test_rerun_replaces_files(tmp_path):
+    argv = ["--mode", "benchmark-disk", "--n-angles", "60",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = sorted(os.listdir(tmp_path))
+    (tmp_path / "spectrum.csv").write_text("stale\n")
+    assert main(argv) == 0
+    assert sorted(os.listdir(tmp_path)) == first == [
+        "result.json", "shape.csv", "shape.svg", "spectrum.csv",
+        "timing.json"]
+    assert (tmp_path / "spectrum.csv").read_text() != "stale\n"
+
+
 @pytest.mark.parametrize("mode", ["optimize-convex", "optimize-nonconvex"])
 def test_failed_final_solve_writes_nothing(tmp_path, monkeypatch, mode):
     # the ascent succeeds; the final spectrum solve of its best shape fails

@@ -4,8 +4,9 @@ functions and methods is read, every module-level function, class and
 UPPER_CASE constant of the package is used somewhere in it, every method
 and property of its classes is called from the package, the tests or the
 benchmark, the solve path does not import the reference mesher or finite
-elements, the package does not load scipy.optimize, and in the command
-line only run and its two writers write files.
+elements, the package does not load scipy.optimize or
+scipy.sparse.csgraph, and in the command line only run and its two
+writers write files.
 
 No linter ships with the project's dependencies, so this standard-library
 check stands in for one.  The package's __init__ imports only to
@@ -345,6 +346,25 @@ def test_package_does_not_load_scipy_optimize():
             "restarts=0)\n"
             "sm.ascend(_flat_support(opts), opts)\n"
             "print('scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=with_src_path(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_package_does_not_load_scipy_csgraph():
+    # a fresh interpreter: the import and one reference FEM solve; the
+    # 1.1 MiB of scipy.sparse.csgraph would count against every process
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import steklovmax as sm\n"
+            "t = 2 * np.pi * np.arange(40) / 40\n"
+            "b = sm.BoundaryPolyline(np.column_stack((np.cos(t), "
+            "np.sin(t))))\n"
+            "space = sm.build_space(sm.triangulate(b, 0.3), 2)\n"
+            "sm.solve_spectrum(space, *sm.assemble(space), 3)\n"
+            "print('scipy.sparse.csgraph' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env=with_src_path(os.environ))
