@@ -230,11 +230,11 @@ def _write_series(path, values, header=""):
 
 
 def _optimized(cfg, state, variables):
-    """An ascent's result, with its best shape's spectrum solved again."""
+    """An ascent's result, with its reported shape's spectrum solved again."""
     spec = solve_boundary(state.boundary, max(cfg.k + 3, 9))
     return {
         **variables,
-        # sigma_k * D of the best iterate, the shape the run reports
+        # sigma_k * D of the reported iterate, the run's highest
         "objective": max(state.objective_history),
         "eigenvalues": state.eigenvalues,
         "diameter": state.diameter.diameter,

@@ -154,18 +154,18 @@ def assemble(space: FEMSpace):
 class SteklovSpectrum:
     """Sorted Steklov eigenvalues with boundary traces of eigenfunctions.
 
-    traces[:, k] holds eigenfunction k at the boundary dofs (loop order),
-    normalized so traces^T B_bb traces = I; samples holds the traces at
-    three Gauss points per boundary segment, their arclength derivatives,
-    and sigma_k times the trace as the normal derivative (the boundary
-    condition).  b_boundary is the dense B_bb itself: the solver does not
-    need it, but it is what the trace normalization is checked against.
+    traces[:, k] holds eigenfunction k at the boundary dofs of the space
+    it was solved on (loop order), normalized so traces^T B_bb traces = I;
+    samples holds the traces at three Gauss points per boundary segment,
+    their arclength derivatives, and sigma_k times the trace as the normal
+    derivative (the boundary condition).  b_boundary is the dense B_bb
+    itself: the solver does not need it, but it is what the trace
+    normalization is checked against.
     """
 
     eigenvalues: np.ndarray
     traces: np.ndarray
     samples: BoundarySamples
-    space: FEMSpace
     b_boundary: np.ndarray      # dense boundary mass block, loop order
 
 
@@ -175,7 +175,8 @@ def _boundary_samples(space: FEMSpace, y, sigma) -> BoundarySamples:
 
     Segment i lies on polyline edge j where boundary_vertex_map[j] <= i <
     boundary_vertex_map[j + 1]; the node's position along that edge comes
-    from the arclengths of the boundary loop.
+    from the arclengths of the boundary loop, summed from the segment
+    lengths.
     """
     mesh = space.mesh
     pts = mesh.vertices[mesh.boundary_loop]
@@ -190,7 +191,7 @@ def _boundary_samples(space: FEMSpace, y, sigma) -> BoundarySamples:
     ut = (np.einsum("gl,sle->sge", dshape, nodes)
           / L[:, None, None]).reshape(-1, y.shape[1])
 
-    arcs = mesh.boundary_arclengths()
+    arcs = np.concatenate(([0.0], np.cumsum(L[:-1])))
     bvm = mesh.boundary_vertex_map
     edge = np.searchsorted(bvm, np.arange(len(L)), side="right") - 1
     # arclength at each polyline vertex, and at vertex 0 again at the end
@@ -309,4 +310,4 @@ def solve_spectrum(space: FEMSpace, K, B, m: int) -> SteklovSpectrum:
     Bbb = Bbb.toarray()
     return SteklovSpectrum(eigenvalues=w, traces=y,
                            samples=_boundary_samples(space, y, w),
-                           space=space, b_boundary=0.5 * (Bbb + Bbb.T))
+                           b_boundary=0.5 * (Bbb + Bbb.T))

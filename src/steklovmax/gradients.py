@@ -42,7 +42,10 @@ class BoundarySamples:
 
 
 def cluster_indices(spec, k, cluster_tol=CLUSTER_TOL):
-    """Contiguous index range of eigenvalues within cluster_tol of sigma_k."""
+    """Contiguous index range of eigenvalues within cluster_tol of sigma_k.
+
+    The window stops at the last computed pair, so a caller must solve at
+    least one pair past the cluster for the range to hold all of it."""
     w = spec.eigenvalues
     scale = max(abs(w[k]), 1e-12)
     lo = k

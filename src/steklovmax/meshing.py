@@ -106,20 +106,14 @@ class TriangleMesh:
     """Triangulation of a polygon with a tagged boundary loop.
 
     boundary_loop is the ordered list of mesh vertex indices around the
-    boundary; boundary_edges pairs consecutive loop entries.
-    boundary_vertex_map[i] is the mesh vertex holding polyline vertex i;
-    it is strictly increasing.
+    boundary.  boundary_vertex_map[i] is the mesh vertex holding polyline
+    vertex i; it is strictly increasing.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_loop: np.ndarray
     boundary_vertex_map: np.ndarray
-
-    @property
-    def boundary_edges(self):
-        loop = self.boundary_loop
-        return np.column_stack((loop, np.roll(loop, -1)))
 
     def triangle_areas(self):
         v = self.vertices
@@ -131,21 +125,6 @@ class TriangleMesh:
     def min_angle_deg(self):
         angles, _, _ = _triangle_quality(self.vertices, self.triangles)
         return float(np.degrees(angles.min()))
-
-    def max_edge_length(self):
-        _, emax, _ = _triangle_quality(self.vertices, self.triangles)
-        return float(np.max(emax))
-
-    def boundary_arclengths(self):
-        """Cumulative arclength at each boundary_loop node (starting at 0)."""
-        pts = self.vertices[self.boundary_loop]
-        seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-        return np.concatenate(([0.0], np.cumsum(seg[:-1])))
-
-    def scaled(self, t):
-        """Same mesh with all vertex coordinates scaled by t."""
-        return TriangleMesh(self.vertices * t, self.triangles,
-                            self.boundary_loop, self.boundary_vertex_map)
 
 
 def _triangle_quality(verts, tris):

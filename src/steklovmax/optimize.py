@@ -42,7 +42,7 @@ class OptimOptions:
     it after each accepted step up to STEP_MAX = 16, and ends when no step
     above STEP_MIN = 1e-12 is accepted or the relative gain over the last
     STOP_WINDOW = 10 accepted steps is below tol.  Restarts perturb the
-    best point by noise of scale RESTART_SCALE = 0.02 times the diameter.
+    reported point by noise of scale RESTART_SCALE = 0.02 times the diameter.
 
     mesh_h_factor and target_h are not used by the ascent, whose solver is
     mesh-free; they remain for callers that mesh the same shapes with
@@ -103,7 +103,7 @@ class Evaluation:
 
 @dataclass
 class OptimState:
-    """Result of an ascent run; variables hold the best feasible iterate."""
+    """Ascent result at the last accepted iterate of the reported pass."""
 
     variables: object
     objective_history: list
@@ -127,7 +127,8 @@ def solve_boundary(b: BoundaryPolyline, m) -> HarmonicSpectrum:
 
 
 def evaluate_boundary(b: BoundaryPolyline, opts: OptimOptions) -> Evaluation:
-    """Solve one candidate boundary; propagate rejection errors."""
+    """Solve one candidate boundary; propagate rejection errors.  Its k + 2
+    is the margin of cluster_indices: a pair past any cluster at sigma_k."""
     spec = solve_boundary(b, opts.k + 2)
     return Evaluation(b, spec.eigenvalues, spec, compute_diameter(b))
 
@@ -163,7 +164,7 @@ def project_graphs(x, d, gap):
 def _ascent(x0, opts, evaluate, gradient, projector, active_snapshot,
             variables, callback=None) -> OptimState:
     """Projected-gradient ascent with Armijo backtracking and seeded random
-    restarts around the best point.
+    restarts around the reported point.
 
     evaluate(x) -> Evaluation; gradient(x, ev) -> ascent direction in the
     variables at x, whose evaluation is ev; projector(x) -> feasible point;
@@ -173,15 +174,17 @@ def _ascent(x0, opts, evaluate, gradient, projector, active_snapshot,
     start raises NoAscent.  The first pass starts at x0; each restart
     perturbs the reported point with Gaussian noise of scale
     RESTART_SCALE * diameter and is reported instead when its final
-    objective is strictly higher.  Deterministic given opts.seed.
+    objective is strictly higher.  A pass reports its last accepted point,
+    its highest, as the Armijo test never lowers the objective.
+    Deterministic given opts.seed.
     """
     rng = np.random.default_rng(opts.seed)
     history, iters = [], 0
     for restart in range(opts.restarts + 1):
         start = x0
         if restart:
-            start = rep_x + rng.normal(scale=RESTART_SCALE * opts.diameter,
-                                       size=np.shape(rep_x))
+            start = rep[0] + rng.normal(scale=RESTART_SCALE * opts.diameter,
+                                        size=np.shape(rep[0]))
         try:
             x = projector(start)
             ev = evaluate(x)
@@ -193,7 +196,6 @@ def _ascent(x0, opts, evaluate, gradient, projector, active_snapshot,
         obj = ev.objective(opts.k)
         first = len(history)        # this pass's values are history[first:]
         history.append(obj)
-        best_x, best_ev, best_obj = x, ev, obj
         step = STEP0
         converged = False
         message = "max_iters reached"
@@ -223,8 +225,6 @@ def _ascent(x0, opts, evaluate, gradient, projector, active_snapshot,
                 break
             x, ev, obj = cand, cand_ev, cand_obj
             history.append(obj)
-            if obj > best_obj:
-                best_x, best_ev, best_obj = x, ev, obj
             if callback is not None:
                 callback(it, x, ev)
             if opts.verbose:
@@ -240,18 +240,14 @@ def _ascent(x0, opts, evaluate, gradient, projector, active_snapshot,
                 message = "objective change below stop_tol"
                 break
         iters += it
-        # a pass's values never fall, so obj is its highest
-        if not restart or obj > rep_obj:
-            rep_x, rep_ev, rep_obj = best_x, best_ev, obj
-            rep_converged, rep_message = converged, message
+        if not restart or obj > rep[2]:
+            rep = (x, ev, obj, converged, message)
+    x, ev, _, converged, message = rep
     return OptimState(
-        variables=variables(rep_x),
-        objective_history=history,
-        eigenvalues=rep_ev.eigenvalues,
-        diameter=rep_ev.diameter,
-        boundary=rep_ev.boundary,
-        active_rows=active_snapshot(rep_x),
-        iterations=iters, converged=rep_converged, message=rep_message)
+        variables=variables(x), objective_history=history,
+        eigenvalues=ev.eigenvalues, diameter=ev.diameter,
+        boundary=ev.boundary, active_rows=active_snapshot(x),
+        iterations=iters, converged=converged, message=message)
 
 
 def ascend(initial: SupportVector, opts: OptimOptions,

@@ -4,6 +4,8 @@ Optimizer-backed criteria run at N = 100 with the published tolerances.
 The k = 4..7 targets are nightly-marked (skipped by default).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
@@ -11,10 +13,10 @@ from scipy.spatial.distance import pdist
 
 from steklovmax import (AngleGrid, OptimOptions, PerturbationSpec,
                         SupportVector, ascend, ascend_nonconvex,
-                        build_constraint_set, compute_diameter,
-                        derive_bound_constant, disk_perturbation_slope,
-                        disk_support, project, reconstruct_boundary,
-                        support_gradient)
+                        build_constraint_set, cluster_indices,
+                        compute_diameter, derive_bound_constant,
+                        disk_perturbation_slope, disk_support, project,
+                        reconstruct_boundary, support_gradient)
 from steklovmax.cli import _flat_graphs, _flat_support, main
 from steklovmax.geometry import BoundaryPolyline
 import conftest
@@ -194,6 +196,16 @@ def test_criterion_7_bound_invariant(convex_runs, nonconvex_runs):
             checked += 1
     report(7, ok, f"sigma_k <= 2(k+1)^3 |Omega|/D^3 on {checked} domains "
                   f"(worst margin {worst:.3f})")
+
+
+def test_cluster_window_ends_before_last_pair(convex_runs, nonconvex_runs):
+    # evaluate_boundary solves one pair past every cluster at sigma_k, the
+    # margin cluster_indices needs to see the whole cluster
+    for runs in (convex_runs, nonconvex_runs):
+        for k, (_, iterates) in runs.items():
+            for _, w, _, _ in iterates:
+                _, hi = cluster_indices(SimpleNamespace(eigenvalues=w), k)
+                assert hi < len(w) - 1
 
 
 def test_criterion_8_nonconvex_optima(nonconvex_runs):

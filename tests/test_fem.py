@@ -32,7 +32,8 @@ def test_homogeneity_on_scaled_meshes():
     K1, B1 = assemble(space1)
     w1 = np.asarray(solve_spectrum(space1, K1, B1, 5).eigenvalues)
     for t in (0.5, 2.0):
-        space2 = build_space(mesh.scaled(t), 2)
+        space2 = build_space(
+            dataclasses.replace(mesh, vertices=mesh.vertices * t), 2)
         K2, B2 = assemble(space2)
         w2 = np.asarray(solve_spectrum(space2, K2, B2, 5).eigenvalues)
         assert np.allclose(w2 * t, w1, atol=1e-9)
@@ -91,14 +92,21 @@ def test_boundary_mass_total_is_perimeter():
     assert np.isclose(ones @ (B @ ones), perimeter(b), rtol=1e-12)
 
 
-def test_boundary_arc_total(disk_spec):
-    mesh = disk_spec.space.mesh
-    # the boundary loop's segments add up to the perimeter, and the
-    # arclengths the boundary samples are placed by increase along it
-    total = mesh.vertices[mesh.boundary_loop]
-    seg = np.linalg.norm(np.roll(total, -1, axis=0) - total, axis=1)
+def test_boundary_arc_total():
+    b = disk_boundary(200)
+    space = build_space(triangulate(b, 0.1), 2)
+    K, B = assemble(space)
+    samples = solve_spectrum(space, K, B, 4).samples
+    # the boundary loop's segments add up to the perimeter
+    pts = space.mesh.vertices[space.mesh.boundary_loop]
+    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
     assert np.isclose(seg.sum(), 2 * np.pi, rtol=2e-3)
-    assert np.all(np.diff(mesh.boundary_arclengths()) > 0)
+    # the samples' positions along their polyline edges, placed by the
+    # loop's arclengths, lie in [0, 1] and do not decrease within an edge
+    lam, edge = samples.lam, samples.edge
+    assert np.all((lam >= 0) & (lam <= 1))
+    assert np.all(np.diff(edge) >= 0)
+    assert np.all(np.diff(lam)[np.diff(edge) == 0] >= 0)
 
 
 def test_tangential_derivative_of_linear_function():

@@ -91,6 +91,26 @@ def test_verbose_log_line_per_accepted_step(capsys, ascent, start, rows):
         assert int(cluster) >= 1
 
 
+@pytest.mark.parametrize("ascent,start", [(ascend, disk_support),
+                                          (ascend_nonconvex, disk_graphs)],
+                         ids=["convex", "nonconvex"])
+def test_state_is_last_highest_iterate(ascent, start):
+    # the state reports the last accepted iterate at the run's highest
+    # objective, over both passes
+    opts = OptimOptions(k=1, **dict(FAST, restarts=1))
+    iterates = []
+    st = ascent(start(opts), opts,
+                callback=lambda it, x, ev: iterates.append((x.copy(), ev)))
+    best = max(st.objective_history)
+    x, ev = [(x, ev) for x, ev in iterates
+             if ev.objective(opts.k) == best][-1]
+    v = st.variables
+    got = v.p if ascent is ascend else np.concatenate([v.p, v.q])
+    assert np.array_equal(got, x)
+    assert np.array_equal(st.eigenvalues, ev.eigenvalues)
+    assert np.array_equal(st.boundary.vertices, ev.boundary.vertices)
+
+
 def test_project_graphs_ordering_and_box():
     rng = np.random.default_rng(2)
     d, gap = 2.0, 1e-3
